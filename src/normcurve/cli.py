@@ -9,7 +9,7 @@ passes, 1 on claim failure, 2 on usage or configuration errors.
 Commands::
 
     normcurve verify {veronese,rigidity,torus,curves,all} [--config PATH]
-                     [--out PATH] [--seed N] [--parallel]
+                     [--out PATH] [--seed N]
     normcurve dump-geodesic SPACE --length L --step H --out CSV [--seed N]
     normcurve torus optimize --freqs PATH --out PATH [--budget N] [--seed N]
 """
@@ -32,32 +32,34 @@ __all__ = ["Claim", "VerificationReport", "run_suite", "main"]
 
 SUITE_NAMES = ("veronese", "rigidity", "torus", "curves")
 
-DEFAULTS: dict[str, dict[str, str]] = {
+# The built-in config.  ``load_config`` gives each override its default's
+# type, and ``run_suite`` echoes every key of the suites it runs.
+DEFAULTS: dict[str, dict[str, int | float]] = {
     "veronese": {
-        "directions": "1000",
-        "points": "1000",
-        "mean_points": "100",
-        "sectional_samples": "2000",
-        "geodesic_step": "0.001",
-        "ball_tol": "0.0001",
+        "directions": 1000,
+        "points": 1000,
+        "mean_points": 100,
+        "sectional_samples": 2000,
+        "geodesic_step": 1e-3,
+        "ball_tol": 1e-4,
     },
     "rigidity": {
-        "geodesic_step": "0.001",
+        "geodesic_step": 1e-3,
     },
     "torus": {
-        "directions": "10000",
-        "budget": "10000",
-        "grid": "4096",
-        "opt_grid": "2048",
-        "n3_budget": "400",
-        "n3_grid": "1024",
+        "directions": 10_000,
+        "budget": 10_000,
+        "grid": 4096,
+        "opt_grid": 2048,
+        "n3_budget": 400,
+        "n3_grid": 1024,
     },
     "curves": {
-        "bow_trials": "1000",
-        "fary_trials": "100",
-        "monotonicity_trials": "1000",
-        "bow_edges": "120",
-        "fary_step": "0.001",
+        "bow_trials": 1000,
+        "fary_trials": 100,
+        "monotonicity_trials": 1000,
+        "bow_edges": 120,
+        "fary_step": 1e-3,
     },
 }
 
@@ -130,7 +132,12 @@ def render_report(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path: str | None) -> dict[str, dict[str, str]]:
+def load_config(path: str | None) -> dict[str, dict[str, int | float]]:
+    """The built-in config with the overrides of the INI file at ``path``.
+
+    Each override takes its default's type; a count must be at least 1 and
+    a step or tolerance positive and finite.
+    """
     merged = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
         return merged
@@ -141,9 +148,18 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
     for section in parser.sections():
         if section not in merged:
             raise ValueError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
+        for key, text in parser.items(section):
             if key not in merged[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
+            kind = type(merged[section][key])
+            try:
+                value = kind(text)
+                valid = value >= 1 if kind is int else 0.0 < value < math.inf
+            except ValueError:
+                valid = False
+            if not valid:
+                need = "an integer >= 1" if kind is int else "a positive finite number"
+                raise ValueError(f"[{section}] {key} = {text!r}: expected {need}")
             merged[section][key] = value
     return merged
 
@@ -154,17 +170,13 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
 # the suites below wrap them into claim rows.
 
 
-def plane_spaces() -> tuple:
-    return veronese.standard_planes()
-
-
-def check_normal_curvature(directions: int = 1000, seed: int = 0) -> dict:
+def check_normal_curvature(directions: int, seed: int) -> dict:
     """Max deviation of |II(u, u)| from 2 over random unit tangents."""
     rng = np.random.default_rng([seed, 1])
     per_point = 25
     out = {}
     worst = 0.0
-    for spc in plane_spaces():
+    for spc in veronese.standard_planes():
         var = veronese.variety(spc)
         n_points = max(1, math.ceil(directions / per_point))
         pts = veronese.sample_points(spc, n_points, rng)
@@ -188,10 +200,10 @@ def check_normal_curvature(directions: int = 1000, seed: int = 0) -> dict:
     return out
 
 
-def check_sphere_radius(points: int = 1000, ball_tol: float = 1e-4, seed: int = 0) -> dict:
+def check_sphere_radius(points: int, ball_tol: float, seed: int) -> dict:
     """Enclosing-ball radius of sampled point clouds against r_n."""
     rng = np.random.default_rng([seed, 2])
-    spaces = list(plane_spaces()) + [veronese.space("real", 3)]
+    spaces = list(veronese.standard_planes()) + [veronese.space("real", 3)]
     radii, expected, centers = [], [], []
     for spc in spaces:
         n = spc.m * math.ceil(points / spc.m)  # complete frames
@@ -210,14 +222,14 @@ def check_sphere_radius(points: int = 1000, ball_tol: float = 1e-4, seed: int = 
     }
 
 
-def check_circle_geodesics(step: float = 1e-3, seed: int = 0) -> dict:
+def check_circle_geodesics(step: float, seed: int) -> dict:
     """Closure, best-fit circle radius and planarity of length-pi geodesics."""
     rng = np.random.default_rng([seed, 3])
     max_closure = 0.0
     max_radius_dev = 0.0
     max_planarity = 0.0
     max_drift = 0.0
-    for spc in plane_spaces():
+    for spc in veronese.standard_planes():
         var = veronese.variety(spc)
         p0 = veronese.sample_points(spc, 1, rng)[0]
         basis = manifold.tangent_basis(var, p0)
@@ -243,7 +255,7 @@ def check_circle_geodesics(step: float = 1e-3, seed: int = 0) -> dict:
     }
 
 
-def check_rigidity_arithmetic(step: float = 1e-3, seed: int = 0) -> dict:
+def check_rigidity_arithmetic(step: float, seed: int) -> dict:
     """Chordal distance at pi/2 plus the simplex circumradius obstruction."""
     chord_dev = 0.0
     for kind in ("real", "complex", "quaternion"):
@@ -281,12 +293,12 @@ def check_rigidity_arithmetic(step: float = 1e-3, seed: int = 0) -> dict:
     }
 
 
-def check_mean_curvature(points: int = 100, seed: int = 0) -> dict:
+def check_mean_curvature(points: int, seed: int) -> dict:
     """| |H| - dim/r | at sampled points of the four planes."""
     rng = np.random.default_rng([seed, 5])
     worst = 0.0
     per_space = {}
-    for spc in plane_spaces():
+    for spc in veronese.standard_planes():
         var = veronese.variety(spc)
         target = spc.intrinsic_dim / spc.sphere_radius
         pts = veronese.sample_points(spc, points, rng)
@@ -299,7 +311,7 @@ def check_mean_curvature(points: int = 100, seed: int = 0) -> dict:
     return {"max_deviation": worst, "per_space": per_space}
 
 
-def check_sectional_curvature(samples: int = 2000, seed: int = 0) -> dict:
+def check_sectional_curvature(samples: int, seed: int) -> dict:
     """K = 1 on RP2; K within [1, 4] on the other planes."""
     rng = np.random.default_rng([seed, 6])
 
@@ -319,7 +331,7 @@ def check_sectional_curvature(samples: int = 2000, seed: int = 0) -> dict:
     lower_violation = 0.0
     upper_violation = 0.0
     ranges = {}
-    for spc in plane_spaces()[1:]:
+    for spc in veronese.standard_planes()[1:]:
         var = veronese.variety(spc)
         n_points = max(1, samples // 40)
         pts = veronese.sample_points(spc, n_points, rng)
@@ -344,13 +356,13 @@ def check_sectional_curvature(samples: int = 2000, seed: int = 0) -> dict:
 
 
 def check_torus(
-    directions: int = 10_000,
-    budget: int = 10_000,
-    grid: int = 4096,
-    opt_grid: int = 2048,
-    n3_budget: int = 400,
-    n3_grid: int = 1024,
-    seed: int = 0,
+    directions: int,
+    budget: int,
+    grid: int,
+    opt_grid: int,
+    n3_budget: int,
+    n3_grid: int,
+    seed: int,
 ) -> dict:
     """Triangular-family constant, optimizer recovery, and the n = 3 probe."""
     rng = np.random.default_rng([seed, 7])
@@ -397,7 +409,7 @@ def check_torus(
     }
 
 
-def check_bow(trials: int = 1000, n_edges: int = 120, seed: int = 0) -> dict:
+def check_bow(trials: int, n_edges: int, seed: int) -> dict:
     """Randomized endpoint comparisons plus the two named instances."""
     rng = np.random.default_rng([seed, 8])
     violations = 0
@@ -431,7 +443,7 @@ def check_bow(trials: int = 1000, n_edges: int = 120, seed: int = 0) -> dict:
     }
 
 
-def check_fary(trials: int = 100, step: float = 1e-3, seed: int = 0) -> dict:
+def check_fary(trials: int, step: float, seed: int) -> dict:
     """Average-curvature bound on random closed curves in the unit ball."""
     rng = np.random.default_rng([seed, 9])
     min_average = np.inf
@@ -454,7 +466,7 @@ def check_fary(trials: int = 100, step: float = 1e-3, seed: int = 0) -> dict:
     }
 
 
-def check_monotonicity(trials: int = 1000, seed: int = 0) -> dict:
+def check_monotonicity(trials: int, seed: int) -> dict:
     """Positivity of the chord/tangent inner product under curvature < 2."""
     rng = np.random.default_rng([seed, 10])
     n_edges = 157
@@ -477,15 +489,20 @@ def check_monotonicity(trials: int = 1000, seed: int = 0) -> dict:
 
 
 # -- suites ------------------------------------------------------------------
+#
+# A suite takes its config section and returns its claims, the measured
+# values it echoes into [environment] (``run_suite`` adds the section name
+# and the config keys) and its side tables.  It calls the engines by their
+# global names at call time, so a patched ``check_*`` is the one that runs.
 
 
-def _suite_veronese(cfg: dict, seed: int):
-    claims = []
-    env = {}
-    c = cfg["veronese"]
-    directions = int(c["directions"])
-    nc = check_normal_curvature(directions=directions, seed=seed)
-    claims.append(
+def _suite_veronese(c: dict, seed: int):
+    nc = check_normal_curvature(directions=c["directions"], seed=seed)
+    sr = check_sphere_radius(points=c["points"], ball_tol=c["ball_tol"], seed=seed)
+    cg = check_circle_geodesics(step=c["geodesic_step"], seed=seed)
+    mc = check_mean_curvature(points=c["mean_points"], seed=seed)
+    sc = check_sectional_curvature(samples=c["sectional_samples"], seed=seed)
+    claims = [
         Claim(
             "C1",
             "normal curvature equals 2 in every tangent direction on the four "
@@ -493,12 +510,7 @@ def _suite_veronese(cfg: dict, seed: int):
             (nc["max_deviation"],),
             (0.0,),
             (1e-8,),
-        )
-    )
-    sr = check_sphere_radius(
-        points=int(c["points"]), ball_tol=float(c["ball_tol"]), seed=seed
-    )
-    claims.append(
+        ),
         Claim(
             "C2",
             "sampled point clouds of RP2/CP2/HP2/OP2/RP3 have enclosing-ball "
@@ -506,54 +518,34 @@ def _suite_veronese(cfg: dict, seed: int):
             tuple(sr["radii"]),
             tuple(sr["expected"]),
             tuple([1e-4] * len(sr["radii"])),
-        )
-    )
-    cg = check_circle_geodesics(step=float(c["geodesic_step"]), seed=seed)
-    claims.append(
+        ),
         Claim(
             "C3",
             "length-pi geodesics close up and are planar circles of radius 1/2",
             (cg["max_closure"], cg["max_radius_dev"], cg["max_planarity"]),
             (0.0, 0.0, 0.0),
             (1e-6, 1e-6, 1e-8),
-        )
-    )
-    mc = check_mean_curvature(points=int(c["mean_points"]), seed=seed)
-    claims.append(
+        ),
         Claim(
             "C5",
             "mean curvature norm equals dim/r at sampled points of the four planes",
             (mc["max_deviation"],),
             (0.0,),
             (1e-6,),
-        )
-    )
-    sc = check_sectional_curvature(samples=int(c["sectional_samples"]), seed=seed)
-    claims.append(
+        ),
         Claim(
             "C6",
             "sectional curvature is 1 on RP2 and lies in [1, 4] on CP2/HP2/OP2",
             (sc["rp2_max_dev"], sc["lower_violation"], sc["upper_violation"]),
             (0.0, 0.0, 0.0),
             (1e-6, 1e-6, 1e-6),
-        )
-    )
-    env.update(
-        {
-            "veronese.directions": directions,
-            "veronese.points": int(c["points"]),
-            "veronese.mean_points": int(c["mean_points"]),
-            "veronese.sectional_samples": int(c["sectional_samples"]),
-            "veronese.geodesic_step": float(c["geodesic_step"]),
-            "veronese.ball_tol": float(c["ball_tol"]),
-        }
-    )
-    return claims, env, {}
+        ),
+    ]
+    return claims, {}, {}
 
 
-def _suite_rigidity(cfg: dict, seed: int):
-    c = cfg["rigidity"]
-    ra = check_rigidity_arithmetic(step=float(c["geodesic_step"]), seed=seed)
+def _suite_rigidity(c: dict, seed: int):
+    ra = check_rigidity_arithmetic(step=c["geodesic_step"], seed=seed)
     claims = [
         Claim(
             "C4",
@@ -572,22 +564,11 @@ def _suite_rigidity(cfg: dict, seed: int):
             (1e-6,),
         ),
     ]
-    env = {"rigidity.geodesic_step": float(c["geodesic_step"])}
-    return claims, env, {}
+    return claims, {}, {}
 
 
-def _suite_torus(cfg: dict, seed: int):
-    c = cfg["torus"]
-    tr = check_torus(
-        directions=int(c["directions"]),
-        budget=int(c["budget"]),
-        grid=int(c["grid"]),
-        opt_grid=int(c["opt_grid"]),
-        n3_budget=int(c["n3_budget"]),
-        n3_grid=int(c["n3_grid"]),
-        seed=seed,
-    )
-    target2 = flat_torus.curvature_bound(2)
+def _suite_torus(c: dict, seed: int):
+    tr = check_torus(**c, seed=seed)
     claims = [
         Claim(
             "C7",
@@ -614,32 +595,24 @@ def _suite_torus(cfg: dict, seed: int):
             (1e-9,),
         ),
     ]
-    env = {
-        "torus.directions": int(c["directions"]),
-        "torus.budget": int(c["budget"]),
-        "torus.grid": int(c["grid"]),
-        "torus.opt_grid": int(c["opt_grid"]),
-        "torus.optimizer_evals": tr["optimizer_evals"],
-        "torus.optimizer_value": tr["optimizer_value"],
-        "torus.n3_achieved": tr["n3_achieved"],
-        "torus.n3_product_value": tr["n3_product_value"],
-        "torus.n3_gap_to_bound": tr["n3_gap_to_bound"],
-        "torus.bound_n2": target2,
+    measured = {
+        k: tr[k]
+        for k in ("optimizer_evals", "optimizer_value", "n3_achieved", "n3_product_value", "n3_gap_to_bound")
     }
+    measured["bound_n2"] = flat_torus.curvature_bound(2)
     tables = {
         "torus_directions": (
             ["u0", "u1", "curvature_radius_product"],
             np.column_stack([tr["sample_directions"], tr["sample_values"]]),
         )
     }
-    return claims, env, tables
+    return claims, measured, tables
 
 
-def _suite_curves(cfg: dict, seed: int):
-    c = cfg["curves"]
-    bw = check_bow(trials=int(c["bow_trials"]), n_edges=int(c["bow_edges"]), seed=seed)
-    fa = check_fary(trials=int(c["fary_trials"]), step=float(c["fary_step"]), seed=seed)
-    mo = check_monotonicity(trials=int(c["monotonicity_trials"]), seed=seed)
+def _suite_curves(c: dict, seed: int):
+    bw = check_bow(trials=c["bow_trials"], n_edges=c["bow_edges"], seed=seed)
+    fa = check_fary(trials=c["fary_trials"], step=c["fary_step"], seed=seed)
+    mo = check_monotonicity(trials=c["monotonicity_trials"], seed=seed)
     claims = [
         Claim(
             "C8",
@@ -672,14 +645,8 @@ def _suite_curves(cfg: dict, seed: int):
             (0.0,),
         ),
     ]
-    env = {
-        "curves.bow_trials": int(c["bow_trials"]),
-        "curves.fary_trials": int(c["fary_trials"]),
-        "curves.monotonicity_trials": int(c["monotonicity_trials"]),
-        "curves.fary_min_average": fa["min_average"],
-        "curves.monotonicity_min_value": mo["min_value"],
-    }
-    return claims, env, {}
+    measured = {"fary_min_average": fa["min_average"], "monotonicity_min_value": mo["min_value"]}
+    return claims, measured, {}
 
 
 _SUITE_FUNCS = {
@@ -695,36 +662,22 @@ def run_suite(
     config_path: str | None = None,
     out_path: str | None = None,
     seed: int = 0,
-    parallel: bool = False,
 ) -> VerificationReport:
     """Execute a named suite (or 'all') and optionally write the report."""
     if name != "all" and name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     cfg = load_config(config_path)
-    names = SUITE_NAMES if name == "all" else (name,)
-    started = time.perf_counter()
-    results = {}
-    if parallel and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(names)) as pool:
-            futures = {n: pool.submit(_SUITE_FUNCS[n], cfg, seed) for n in names}
-            for n in names:
-                results[n] = futures[n].result()
-    else:
-        for n in names:
-            results[n] = _SUITE_FUNCS[n](cfg, seed)
-
     report = VerificationReport(
         suite=name,
         seed=seed,
         config_path=config_path or "builtin-defaults",
     )
     tables = {}
-    for n in names:
-        claims, env, tbl = results[n]
+    started = time.perf_counter()
+    for n in SUITE_NAMES if name == "all" else (name,):
+        claims, measured, tbl = _SUITE_FUNCS[n](cfg[n], seed)
         report.claims.extend(claims)
-        report.environment.update(env)
+        report.environment.update({f"{n}.{k}": v for k, v in {**cfg[n], **measured}.items()})
         tables.update(tbl)
     report.runtime_seconds = time.perf_counter() - started
 
@@ -819,7 +772,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", default=None, help="INI config path")
     p_verify.add_argument("--out", default=None, help="report output path")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--parallel", action="store_true")
 
     p_dump = sub.add_parser("dump-geodesic", help="integrate and dump one geodesic")
     p_dump.add_argument("space", help="space name such as rp2, cp2, hp2, op2, rp3")
@@ -847,13 +799,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         if args.command == "verify":
-            report = run_suite(
-                args.suite,
-                config_path=args.config,
-                out_path=args.out,
-                seed=args.seed,
-                parallel=args.parallel,
-            )
+            report = run_suite(args.suite, config_path=args.config, out_path=args.out, seed=args.seed)
             sys.stdout.write(render_report(report))
             return 0 if report.all_passed else 1
         if args.command == "dump-geodesic":
@@ -862,7 +808,9 @@ def main(argv=None) -> int:
         if args.command == "torus":
             torus_optimize_cmd(args.freqs, args.out, args.budget, args.seed, args.grid)
             return 0
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError: a numerical failure (ProjectionError,
+        # SingularPointError, a generator giving up), not a failed claim
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 2

@@ -304,10 +304,8 @@ def optimize_weights(
 
     x0 = np.log(w0[1:] / w0[0])
     best_x, best_val = x0, objective(x0)
-    message = ""
     for attempt in range(restarts):
         if count >= budget:
-            message = "evaluation budget exhausted"
             break
         start = best_x if attempt == 0 else best_x + rng.normal(0.0, 0.25, size=j - 1)
         res = minimize(
@@ -324,8 +322,9 @@ def optimize_weights(
             best_val, best_x = float(res.fun), np.asarray(res.x)
     weights = np.exp(np.concatenate([[0.0], best_x]))
     weights /= np.linalg.norm(weights)
-    converged = count < budget or message == ""
-    return WeightOptimum(weights, best_val, count, history, converged, message or "ok")
+    converged = count < budget
+    message = "ok" if converged else "evaluation budget exhausted"
+    return WeightOptimum(weights, best_val, count, history, converged, message)
 
 
 # -- frequency families ------------------------------------------------------

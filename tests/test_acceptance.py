@@ -1,206 +1,82 @@
-"""Acceptance criteria, each at its stated tolerance and sample count.
+"""Acceptance criteria, checked through the claims of the CLI suites.
 
-Every criterion prints one PASS/FAIL line (visible with ``pytest -s`` or
-``-rA``); the same measurements back the claim rows of the CLI suites.
-Run just this module with ``pytest tests/test_acceptance.py -v``.
+Each suite runs once, at the built-in config, exactly as ``normcurve verify``
+runs it; the tolerances are the claims' own, so none is written here.  Every
+criterion prints one PASS/FAIL line per claim (visible with ``pytest -s`` or
+``-rA``).  Run just this module with ``pytest tests/test_acceptance.py -v``.
+
+Conditions of the criteria that have no claim of their own follow from a
+claim's components and tolerances: the four-point obstruction circ4 > circ3
+from C4, the named bow instance's inequality from C8's gaps, every Fary
+average clearing ``fary_check``'s slack from C9's success ratio, and a
+strictly positive chord/tangent minimum from C10's success ratio.
 """
 
-import math
-import time
+import functools
 
 import pytest
 
-from normcurve.cli import (
-    check_bow,
-    check_circle_geodesics,
-    check_fary,
-    check_mean_curvature,
-    check_monotonicity,
-    check_normal_curvature,
-    check_rigidity_arithmetic,
-    check_sectional_curvature,
-    check_sphere_radius,
-    check_torus,
-)
+from normcurve.cli import run_suite
 
 SEED = 0
 
 
-def _report(criterion: str, passed: bool, detail: str) -> None:
-    print(f"[{criterion}] {'PASS' if passed else 'FAIL'}: {detail}")
+@pytest.fixture(scope="module")
+def suite():
+    """The report of a suite at the built-in config, run on first use."""
+    return functools.cache(lambda name: run_suite(name, seed=SEED))
 
 
-def test_criterion_1_normal_curvature_constant():
-    started = time.perf_counter()
-    result = check_normal_curvature(directions=1000, seed=SEED)
-    elapsed = time.perf_counter() - started
-    ok = result["max_deviation"] <= 1e-8 and elapsed <= 60.0
-    _report(
-        "criterion 1",
-        ok,
-        f"max |kappa - 2| = {result['max_deviation']:.3e} over 1000 directions "
-        f"per plane in {elapsed:.1f}s",
-    )
-    assert result["max_deviation"] <= 1e-8
-    assert elapsed <= 60.0
+def _assert_claims(report, *claim_ids):
+    claims = {c.claim_id: c for c in report.claims}
+    for cid in claim_ids:
+        assert cid in claims, f"suite {report.suite} reports no claim {cid}"
+        c = claims[cid]
+        detail = f"measured {c.measured}, expected {c.expected}, tolerance {c.tolerance}"
+        print(f"[{cid}] {'PASS' if c.passed else 'FAIL'}: {detail}")
+        assert c.passed, f"{cid} failed: {detail}"
 
 
-def test_criterion_2_sphere_radius():
-    result = check_sphere_radius(points=1000, ball_tol=1e-4, seed=SEED)
-    devs = [abs(r - e) for r, e in zip(result["radii"], result["expected"])]
-    ok = max(devs) <= 1e-4
-    _report(
-        "criterion 2",
-        ok,
-        "enclosing radii "
-        + ", ".join(
-            f"{name}={r:.6f}" for name, r in zip(result["spaces"], result["radii"])
-        )
-        + f" (max dev {max(devs):.2e})",
-    )
-    assert max(devs) <= 1e-4
+def test_criterion_1_normal_curvature_constant(suite):
+    report = suite("veronese")
+    _assert_claims(report, "C1")
+    assert report.runtime_seconds <= 60.0  # the whole suite, not C1 alone
 
 
-def test_criterion_3_circle_geodesics():
-    result = check_circle_geodesics(step=1e-3, seed=SEED)
-    ok = (
-        result["max_closure"] <= 1e-6
-        and result["max_radius_dev"] <= 1e-6
-        and result["max_planarity"] <= 1e-8
-    )
-    _report(
-        "criterion 3",
-        ok,
-        f"closure {result['max_closure']:.2e}, radius dev "
-        f"{result['max_radius_dev']:.2e}, planarity {result['max_planarity']:.2e}",
-    )
-    assert result["max_closure"] <= 1e-6
-    assert result["max_radius_dev"] <= 1e-6
-    assert result["max_planarity"] <= 1e-8
+def test_criterion_2_sphere_radius(suite):
+    _assert_claims(suite("veronese"), "C2")
 
 
-def test_criterion_4_rigidity_arithmetic():
-    result = check_rigidity_arithmetic(step=1e-3, seed=SEED)
-    circ3_dev = abs(result["circ3"] - 1.0 / math.sqrt(3.0))
-    circ4_dev = abs(result["circ4"] - math.sqrt(3.0 / 8.0))
-    ok = (
-        result["chord_dev"] <= 1e-9
-        and circ4_dev <= 1e-12
-        and circ3_dev <= 1e-12
-        and result["obstruction"]
-    )
-    _report(
-        "criterion 4",
-        ok,
-        f"chord dev {result['chord_dev']:.2e}, circumradius(3,1) dev "
-        f"{circ3_dev:.2e}, circumradius(4,1) dev {circ4_dev:.2e}, "
-        f"obstruction {result['obstruction']}",
-    )
-    assert result["chord_dev"] <= 1e-9
-    assert circ3_dev <= 1e-12
-    assert circ4_dev <= 1e-12
-    assert result["obstruction"]  # sqrt(3/8) > 1/sqrt(3)
+def test_criterion_3_circle_geodesics(suite):
+    _assert_claims(suite("veronese"), "C3")
 
 
-def test_criterion_5_mean_curvature_equality():
-    result = check_mean_curvature(points=100, seed=SEED)
-    ok = result["max_deviation"] <= 1e-6
-    _report(
-        "criterion 5",
-        ok,
-        f"max | |H| - dim/r | = {result['max_deviation']:.3e} at 100 points per plane",
-    )
-    assert result["max_deviation"] <= 1e-6
+def test_criterion_4_rigidity_arithmetic(suite):
+    _assert_claims(suite("rigidity"), "C4", "R-geodesic-chord")
 
 
-def test_criterion_6_sectional_curvature():
-    result = check_sectional_curvature(samples=2000, seed=SEED)
-    ok = (
-        result["rp2_max_dev"] <= 1e-6
-        and result["lower_violation"] <= 1e-6
-        and result["upper_violation"] <= 1e-6
-    )
-    ranges = ", ".join(
-        f"{name}=[{lo:.4f}, {hi:.4f}]" for name, (lo, hi) in result["ranges"].items()
-    )
-    _report(
-        "criterion 6",
-        ok,
-        f"RP2 dev {result['rp2_max_dev']:.2e}; sampled {ranges}",
-    )
-    assert result["rp2_max_dev"] <= 1e-6
-    assert result["lower_violation"] <= 1e-6
-    assert result["upper_violation"] <= 1e-6
+def test_criterion_5_mean_curvature_equality(suite):
+    _assert_claims(suite("veronese"), "C5")
 
 
-def test_criterion_7_torus_constant():
-    result = check_torus(directions=10_000, budget=10_000, seed=SEED)
-    ok = (
-        result["variance"] <= 1e-18
-        and result["optimizer_dev"] <= 1e-4
-        and result["optimizer_evals"] <= 10_000
-    )
-    _report(
-        "criterion 7",
-        ok,
-        f"direction variance {result['variance']:.2e}, optimizer reached "
-        f"{result['optimizer_value']:.8f} (target {math.sqrt(1.5):.8f}) in "
-        f"{result['optimizer_evals']} evaluations",
-    )
-    assert result["variance"] <= 1e-18
-    assert result["a2_max_dev"] <= 1e-9
-    assert result["optimizer_dev"] <= 1e-4
-    assert result["optimizer_evals"] <= 10_000
+def test_criterion_6_sectional_curvature(suite):
+    _assert_claims(suite("veronese"), "C6")
 
 
-def test_criterion_8_bow_property_suite():
-    result = check_bow(trials=1000, seed=SEED)
-    ok = (
-        result["violations"] == 0
-        and abs(result["half_circle_gap"] - 1.0) <= 1e-9
-        and abs(result["segment_gap"] - math.pi / 2.0) <= 1e-9
-        and result["rigidity_detected"]
-    )
-    _report(
-        "criterion 8",
-        ok,
-        f"{result['violations']} violations in {result['trials']} trials; named "
-        f"gaps ({result['half_circle_gap']:.6f}, {result['segment_gap']:.6f}); "
-        f"rigidity {result['rigidity_detected']}",
-    )
-    assert result["violations"] == 0
-    assert result["half_circle_gap"] == pytest.approx(1.0, abs=1e-9)
-    assert result["segment_gap"] == pytest.approx(math.pi / 2.0, abs=1e-9)
-    assert result["named_holds"]
-    assert result["rigidity_detected"]
+def test_criterion_7_torus_constant(suite):
+    report = suite("torus")
+    _assert_claims(report, "C7", "T-n1", "T-n3")
+    env = report.environment
+    assert env["torus.optimizer_evals"] <= env["torus.budget"]
 
 
-def test_criterion_9_fary_property_suite():
-    result = check_fary(trials=100, seed=SEED)
-    ok = (
-        result["violations"] == 0
-        and result["min_average"] >= 1.0 - 5e-3
-        and result["great_circle_dev"] <= 1e-6
-    )
-    _report(
-        "criterion 9",
-        ok,
-        f"min average curvature {result['min_average']:.6f} over "
-        f"{result['trials']} curves; great-circle dev {result['great_circle_dev']:.2e}",
-    )
-    assert result["violations"] == 0
-    assert result["min_average"] >= 1.0 - 5e-3
-    assert result["great_circle_dev"] <= 1e-6
+def test_criterion_8_bow_property_suite(suite):
+    _assert_claims(suite("curves"), "C8")
 
 
-def test_criterion_10_monotonicity_suite():
-    result = check_monotonicity(trials=1000, seed=SEED)
-    ok = result["positives"] == result["trials"] and result["min_value"] > 0.0
-    _report(
-        "criterion 10",
-        ok,
-        f"{result['positives']}/{result['trials']} strictly positive, "
-        f"min value {result['min_value']:.6f}",
-    )
-    assert result["positives"] == result["trials"]
-    assert result["min_value"] > 0.0
+def test_criterion_9_fary_property_suite(suite):
+    _assert_claims(suite("curves"), "C9")
+
+
+def test_criterion_10_monotonicity_suite(suite):
+    _assert_claims(suite("curves"), "C10")

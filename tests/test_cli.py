@@ -108,26 +108,19 @@ def test_report_byte_stability(small_config, tmp_path):
     assert _stable_lines(out1.read_text()) != _stable_lines(out2.read_text())
 
 
-def test_verify_exit_code_and_parallel(small_config, tmp_path):
+def test_verify_all_exit_code_and_side_table(small_config, tmp_path):
     out = tmp_path / "all.txt"
-    code = main(
-        [
-            "verify",
-            "all",
-            "--config",
-            small_config,
-            "--out",
-            str(out),
-            "--seed",
-            "0",
-            "--parallel",
-        ]
-    )
+    code = main(["verify", "all", "--config", small_config, "--out", str(out), "--seed", "0"])
     assert code == 0
     text = out.read_text()
     # every acceptance criterion appears as exactly one claim row
     for cid in ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10"):
         assert text.count(f"id = {cid}\n") == 1
+    # every effective config value is echoed into [environment]
+    effective = load_config(small_config)
+    for section, values in effective.items():
+        for key, value in values.items():
+            assert f"{section}.{key} = {format(value, '.12g')}\n" in text
     # torus side table is written next to the report
     side = tmp_path / "all.txt.torus_directions.csv"
     assert side.exists()
@@ -136,35 +129,53 @@ def test_verify_exit_code_and_parallel(small_config, tmp_path):
     assert len(rows) == 501
 
 
-def test_parallel_matches_sequential(tmp_path):
-    tiny = tmp_path / "tiny.ini"
-    tiny.write_text(
-        "[veronese]\ndirections = 20\npoints = 20\nmean_points = 2\n"
-        "sectional_samples = 20\ngeodesic_step = 0.002\n"
-        "[torus]\ndirections = 100\nbudget = 120\ngrid = 256\nopt_grid = 256\n"
-        "n3_budget = 5\nn3_grid = 128\n"
-        "[curves]\nbow_trials = 5\nfary_trials = 2\nmonotonicity_trials = 5\n"
-    )
-    seq = tmp_path / "seq.txt"
-    par = tmp_path / "par.txt"
-    run_suite("all", config_path=str(tiny), out_path=str(seq), seed=2)
-    run_suite("all", config_path=str(tiny), out_path=str(par), seed=2, parallel=True)
-    assert _stable_lines(seq.read_text()) == _stable_lines(par.read_text())
-
-
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert main(["verify", "bogus"]) == 2
     assert main(["verify", "curves", "--config", str(tmp_path / "none.ini")]) == 2
+    assert main(["verify", "all", "--parallel"]) == 2
     assert main([]) == 2
+    # a count below 1, or a step or tolerance not positive and finite
+    bad = tmp_path / "bad.ini"
+    for section, key, value in (
+        ("curves", "bow_trials", "0"),
+        ("torus", "budget", "-5"),
+        ("veronese", "directions", "1.5"),
+        ("veronese", "ball_tol", "0"),
+        ("rigidity", "geodesic_step", "nan"),
+        ("curves", "fary_step", "inf"),
+        ("curves", "fary_step", "small"),
+    ):
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["verify", section, "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [{section}] {key} = ")
+
+
+def test_numerical_failure_exits_two(tmp_path, capsys):
+    # a step of 5 along a length-10 geodesic leaves the variety: ProjectionError
+    out = str(tmp_path / "geo.csv")
+    assert main(["dump-geodesic", "rp2", "--length", "10", "--step", "5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: projection stalled") and err.count("\n") == 1
+    # at step 0.5 no draw has equal edges within tolerance: the generator gives up
+    coarse = tmp_path / "coarse.ini"
+    coarse.write_text(
+        "[curves]\nbow_trials = 1\nfary_trials = 1\nmonotonicity_trials = 1\nfary_step = 0.5\n"
+    )
+    assert main(["verify", "curves", "--config", str(coarse)]) == 2
+    assert capsys.readouterr().err == "error: failed to draw an acceptable closed curve\n"
 
 
 def test_failing_claim_exits_one(monkeypatch, small_config):
     import normcurve.cli as cli_module
 
-    def fake_suite(cfg, seed):
-        return [Claim("F", "always fails", (1.0,), (0.0,), (0.1,))], {}, {}
+    real = cli_module.check_rigidity_arithmetic
 
-    monkeypatch.setitem(cli_module._SUITE_FUNCS, "rigidity", fake_suite)
+    def off_by_one(step, seed):
+        return {**real(step=step, seed=seed), "circ4": 1.0}
+
+    # the suite looks the engine up at call time, so the patched one runs
+    monkeypatch.setattr(cli_module, "check_rigidity_arithmetic", off_by_one)
     assert main(["verify", "rigidity", "--config", small_config]) == 1
 
 

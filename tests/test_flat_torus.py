@@ -133,6 +133,16 @@ def test_optimizer_from_second_perturbed_start():
     assert abs(result.value - SQRT32) <= 1e-4
 
 
+def test_optimizer_budget_exhausted_in_last_restart():
+    # a full run at this grid converges after 836 evaluations
+    result = optimize_weights(
+        triangular_family(2), np.array([1.2, 0.9, 1.0]), budget=835, seed=0, grid=256
+    )
+    assert result.evaluations <= 835
+    assert not result.converged
+    assert result.message == "evaluation budget exhausted"
+
+
 def test_optimizer_single_frequency():
     result = optimize_weights(np.array([[1]]), np.array([2.0]), budget=10)
     assert result.value == pytest.approx(1.0, abs=1e-12)
