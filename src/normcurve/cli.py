@@ -715,8 +715,13 @@ def dump_geodesic(space_name: str, length: float, step: float, out_path: str, se
             writer.writerow([format(k * curve.nominal_step, ".12g")] + vertex.tolist())
 
 
-def torus_optimize_cmd(freqs_path: str, out_path: str, budget: int, seed: int, grid: int) -> None:
+def torus_optimize_cmd(
+    freqs_path: str, out_path: str, budget: int, seed: int, grid: int
+) -> VerificationReport:
     """Optimize weights for a frequency family; result in the report schema."""
+    for flag, value in (("--budget", budget), ("--grid", grid)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     started = time.perf_counter()
     freqs, weights = flat_torus.load_frequency_file(freqs_path)
     result = flat_torus.optimize_weights(freqs, weights, budget=budget, seed=seed, grid=grid)
@@ -755,6 +760,7 @@ def torus_optimize_cmd(freqs_path: str, out_path: str, budget: int, seed: int, g
     )
     with open(out_path, "w") as fh:
         fh.write(render_report(report))
+    return report
 
 
 # -- entry point ---------------------------------------------------------------
@@ -806,8 +812,8 @@ def main(argv=None) -> int:
             dump_geodesic(args.space, args.length, args.step, args.out, seed=args.seed)
             return 0
         if args.command == "torus":
-            torus_optimize_cmd(args.freqs, args.out, args.budget, args.seed, args.grid)
-            return 0
+            report = torus_optimize_cmd(args.freqs, args.out, args.budget, args.seed, args.grid)
+            return 0 if report.all_passed else 1
     except (ValueError, OSError, RuntimeError) as exc:
         # RuntimeError: a numerical failure (ProjectionError,
         # SingularPointError, a generator giving up), not a failed claim

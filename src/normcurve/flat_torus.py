@@ -19,8 +19,10 @@ of the flat Laplacian, so the second derivative of block j is
 The scale-invariant objective kappa(u) * R is bounded below by
 sqrt(3 n / (n + 2)) over all families and directions; the triangular
 family {e_1, e_2, e_1 + e_2} with equal weights attains the bound at
-n = 2 with direction-independent curvature.  ``optimize_weights`` runs a
-derivative-free minimax descent over the weights for a fixed family.
+n = 2 with direction-independent curvature.  ``torus_worst_direction`` is
+exact at n = 2 (polynomial roots); at n = 3 it is a grid plus Newton ascent
+whose ``certified_upper`` is an estimate, not a proof.  ``optimize_weights``
+runs a derivative-free minimax descent over the weights for a fixed family.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def curvature_radius_products(torus: TorusEmbedding, dirs: np.ndarray) -> np.nda
 
 @dataclass
 class DirectionSearch:
-    """Worst direction with the grid certificate accompanying the maximum."""
+    """Worst direction and its certificate (``value`` itself where exact, n <= 2)."""
 
     direction: np.ndarray
     value: float
@@ -149,98 +151,96 @@ def _fibonacci_hemisphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
+def _tangent_frame(dirs: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent pairs (m, 2, 3) at the unit rows of ``dirs``."""
+    near_axis = np.linalg.norm(np.cross(dirs, [1.0, 0.0, 0.0]), axis=1) < 1e-6
+    t1 = np.cross(dirs, np.where(near_axis[:, None], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]))
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    return np.stack([t1, np.cross(dirs, t1)], axis=1)
+
+
+def _newton_ascent(torus: TorusEmbedding, u: np.ndarray, vals: np.ndarray) -> tuple:
+    """Batched Newton ascent of log(P / Q^2), P = sum_j w_j^2 <k_j, u>^4 and
+    Q = u^T G u, on unit rows u (n = 3): being homogeneous of degree 0, its
+    gradient is tangent and its Riemannian Hessian is the tangent block.
+    Steps that do not ascend become gradient steps; steps halve (up to 29
+    times) until kappa * R, given as ``vals``, does not decrease."""
+    k, w2, g = torus.freqs, torus.weights**2, torus.metric
+    active = np.ones(len(u), dtype=bool)
+    for _ in range(50):
+        s, gu = u @ k.T, u @ g
+        quartic, quadratic = s**4 @ w2, np.sum(u * gu, axis=1)
+        gp = 4.0 * (w2 * s**3) @ k / quartic[:, None]  # grad log P
+        gq = 2.0 * gu / quadratic[:, None]  # grad log Q
+        hess = 12.0 * np.einsum("ij,ja,jb->iab", w2 * s**2, k, k) / quartic[:, None, None]
+        hess += 2.0 * gq[:, :, None] * gq[:, None] - gp[:, :, None] * gp[:, None]
+        hess -= 4.0 * g / quadratic[:, None, None]
+        frame = _tangent_frame(u)
+        grad = np.einsum("ika,ia->ik", frame, gp - 2.0 * gq)
+        hess = np.einsum("ika,iab,ilb->ikl", frame, hess, frame)
+        step = -np.einsum("ikl,il->ik", np.linalg.pinv(hess), grad)
+        step = np.where((np.sum(step * grad, axis=1) > 0.0)[:, None], step, grad)
+        active &= np.sum(step * grad, axis=1) > 1e-15  # first-order gain in log(P / Q^2)
+        if not active.any():
+            break
+        move = np.einsum("ik,ika->ia", step, frame)[:, None]
+        trial = u[:, None] + 0.5 ** np.arange(30)[:, None] * move  # (m, 30, 3)
+        trial /= np.linalg.norm(trial, axis=2, keepdims=True)
+        fc = curvature_radius_products(torus, trial.reshape(-1, 3)).reshape(len(u), -1)
+        pick = np.arange(len(u)), np.argmax(fc >= vals[:, None], axis=1)  # longest good step
+        active &= fc[pick] >= vals
+        u, vals = np.where(active[:, None], trial[pick], u), np.where(active, fc[pick], vals)
+    return u, vals
+
+
 def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionSearch:
     """Global maximum of kappa(u) * R over directions (n <= 3).
 
-    Dense sampling of the direction sphere followed by local polish of the
-    best candidates; the report carries the grid resolution and a numeric
-    Lipschitz estimate so the distance between grid max and true max can
-    be bounded.
+    Exact at n = 2, from the roots of a polynomial; ``grid`` is not read.
+    At n = 3, a Fibonacci grid of ``grid`` directions, then a batched Newton
+    ascent from its 4 best points; ``certified_upper`` adds half the spacing
+    times a finite-difference Lipschitz estimate (over 1/64 of the grid) to
+    the grid maximum, which is an estimate, not a proof.
     """
-    from scipy.optimize import minimize, minimize_scalar
-
     n = torus.n
+    points, spacing, lipschitz, grid_upper = 0, 0.0, 0.0, -np.inf
     if n == 1:
-        u = np.ones(1)
-        value = torus_normal_curvature(torus, u) * torus.sphere_radius
-        return DirectionSearch(torus.unit_direction(u), value, 1, 0.0, 0.0, value)
-
-    if n == 2:
-        phis = np.linspace(0.0, math.pi, grid, endpoint=False)
+        dirs = np.ones((1, 1))
+    elif n == 2:
+        # along (1, t), kappa * R = R sqrt(p(t)) / q(t) with q(t) = (1, t) G (1, t)^T
+        # and p(t) = sum_j w_j^2 (a_j + b_j t)^4, both highest power first.  The
+        # stationary points are the roots of p'q - 2pq', which is 0 for constant kappa.
+        m = np.arange(5)
+        a, b = torus.freqs[:, :1], torus.freqs[:, 1:]
+        p = torus.weights**2 @ (np.array([1.0, 4.0, 6.0, 4.0, 1.0]) * a**m * b ** (4 - m))
+        q = np.array([1.0, 2.0, 1.0]) * torus.metric.ravel()[[3, 1, 0]]
+        crit = np.polysub(np.polymul(np.polyder(p), q), 2.0 * np.polymul(p, np.polyder(q)))
+        phis = np.append(np.arctan(np.roots(crit).real), [0.0, 0.5 * math.pi])
         dirs = np.column_stack([np.cos(phis), np.sin(phis)])
-        vals = curvature_radius_products(torus, dirs)
-        spacing = math.pi / grid
-        lipschitz = float(np.max(np.abs(np.diff(vals)))) / spacing
-
-        def negval(phi: float) -> float:
-            d = np.array([[math.cos(phi), math.sin(phi)]])
-            return -float(curvature_radius_products(torus, d)[0])
-
-        best_phi, best_val = 0.0, -np.inf
-        order = np.argsort(vals)[::-1]
-        for idx in order[:3]:
-            res = minimize_scalar(
-                negval,
-                bounds=(phis[idx] - spacing, phis[idx] + spacing),
-                method="bounded",
-                options={"xatol": 1e-13},
-            )
-            if -res.fun > best_val:
-                best_val, best_phi = -res.fun, float(res.x)
-        direction = torus.unit_direction(np.array([math.cos(best_phi), math.sin(best_phi)]))
-        certified = max(best_val, float(vals.max()) + 0.5 * lipschitz * spacing)
-        return DirectionSearch(direction, best_val, grid, spacing, lipschitz, certified)
-
-    if n == 3:
-        dirs = _fibonacci_hemisphere(grid)
-        vals = curvature_radius_products(torus, dirs)
-        spacing = math.sqrt(4.0 * math.pi / grid)
-        sample = dirs[:: max(1, grid // 64)]
-        eps = 1e-5
-        grads = []
-        for d in sample:
-            t1 = np.cross(d, [1.0, 0.0, 0.0])
-            if np.linalg.norm(t1) < 1e-6:
-                t1 = np.cross(d, [0.0, 1.0, 0.0])
-            t1 /= np.linalg.norm(t1)
-            t2 = np.cross(d, t1)
-            for t in (t1, t2):
-                plus = (d + eps * t) / np.linalg.norm(d + eps * t)
-                minus = (d - eps * t) / np.linalg.norm(d - eps * t)
-                pair = np.vstack([plus, minus])
-                fv = curvature_radius_products(torus, pair)
-                grads.append(abs(fv[0] - fv[1]) / (2.0 * eps))
-        lipschitz = 2.0 * float(np.max(grads))
-
-        def negval3(x: np.ndarray, anchor: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
-            d = anchor + x[0] * t1 + x[1] * t2
-            d = d / np.linalg.norm(d)
-            return -float(curvature_radius_products(torus, d[None, :])[0])
-
-        best_dir, best_val = None, -np.inf
-        for idx in np.argsort(vals)[::-1][:4]:
-            anchor = dirs[idx]
-            t1 = np.cross(anchor, [1.0, 0.0, 0.0])
-            if np.linalg.norm(t1) < 1e-6:
-                t1 = np.cross(anchor, [0.0, 1.0, 0.0])
-            t1 /= np.linalg.norm(t1)
-            t2 = np.cross(anchor, t1)
-            res = minimize(
-                negval3,
-                np.zeros(2),
-                args=(anchor, t1, t2),
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 400},
-            )
-            if -res.fun > best_val:
-                best_val = -res.fun
-                d = anchor + res.x[0] * t1 + res.x[1] * t2
-                best_dir = d / np.linalg.norm(d)
-        direction = torus.unit_direction(best_dir)
-        certified = max(best_val, float(vals.max()) + 0.5 * lipschitz * spacing)
-        return DirectionSearch(direction, best_val, grid, spacing, lipschitz, certified)
-
-    raise ValueError("direction search is implemented for n <= 3")
+    elif n == 3:
+        if grid < 1:
+            raise ValueError(f"grid must be at least 1, got {grid}")
+        grid_dirs = _fibonacci_hemisphere(grid)
+        grid_vals = curvature_radius_products(torus, grid_dirs)
+        points, spacing = grid, math.sqrt(4.0 * math.pi / grid)
+        sample = grid_dirs[:: max(1, grid // 64)]
+        frame = 1e-5 * _tangent_frame(sample)
+        shifted = np.stack([sample[:, None] + frame, sample[:, None] - frame], axis=2)
+        shifted /= np.linalg.norm(shifted, axis=-1, keepdims=True)
+        fv = curvature_radius_products(torus, shifted.reshape(-1, 3)).reshape(-1, 2)
+        # twice the largest central difference |f(+eps) - f(-eps)| / (2 eps)
+        lipschitz = float(np.max(np.abs(fv[:, 0] - fv[:, 1]))) / 1e-5
+        grid_upper = float(grid_vals.max()) + 0.5 * lipschitz * spacing
+        top = np.argsort(grid_vals)[::-1][:4]
+        dirs, vals = _newton_ascent(torus, grid_dirs[top], grid_vals[top])
+    else:
+        raise ValueError("direction search is implemented for n <= 3")
+    if n < 3:
+        points, vals = len(dirs), curvature_radius_products(torus, dirs)
+    best = int(np.argmax(vals))
+    value = float(vals[best])
+    direction = torus.unit_direction(dirs[best])
+    return DirectionSearch(direction, value, points, spacing, lipschitz, max(value, grid_upper))
 
 
 @dataclass

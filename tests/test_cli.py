@@ -134,6 +134,14 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["verify", "curves", "--config", str(tmp_path / "none.ini")]) == 2
     assert main(["verify", "all", "--parallel"]) == 2
     assert main([]) == 2
+    # torus optimize: a budget or grid below 1
+    freqs = tmp_path / "freqs.txt"
+    freqs.write_text("1,0 1.0\n0,1 1.0\n1,1 1.0\n")
+    for flag in ("--budget", "--grid"):
+        capsys.readouterr()
+        args = ["torus", "optimize", "--freqs", str(freqs), "--out", str(tmp_path / "t.txt")]
+        assert main(args + [flag, "0"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got 0\n"
     # a count below 1, or a step or tolerance not positive and finite
     bad = tmp_path / "bad.ini"
     for section, key, value in (
@@ -215,6 +223,20 @@ def test_torus_optimize_command(tmp_path):
         ).split("=")[1]
     )
     assert achieved == pytest.approx(math.sqrt(1.5), abs=1e-3)
+
+
+def test_torus_optimize_failing_claim_exits_one(monkeypatch, tmp_path):
+    import normcurve.flat_torus as flat_torus
+
+    def below_bound(freqs, weights, **kwargs):
+        return flat_torus.WeightOptimum(np.asarray(weights), 1.0, 1)
+
+    monkeypatch.setattr(flat_torus, "optimize_weights", below_bound)
+    freqs = tmp_path / "freqs.txt"
+    freqs.write_text("1,0 1.0\n0,1 1.0\n1,1 1.0\n")
+    out = tmp_path / "torus.txt"
+    assert main(["torus", "optimize", "--freqs", str(freqs), "--out", str(out)]) == 1
+    assert "pass = no" in out.read_text()
 
 
 def test_torus_optimize_missing_file(tmp_path):

@@ -8,7 +8,9 @@ import pytest
 from normcurve.curves import DiscreteCurve, discrete_curvature
 from normcurve.flat_torus import (
     TorusEmbedding,
+    _fibonacci_hemisphere,
     curvature_bound,
+    curvature_radius_products,
     load_frequency_file,
     optimize_weights,
     product_family,
@@ -108,12 +110,51 @@ def test_zero_direction_rejected():
         torus_normal_curvature(torus, np.zeros(2))
 
 
+def _dense_oracle(torus):
+    """Maximum of kappa * R over 2e5 angles (n = 2) or 4e5 Fibonacci points (n = 3)."""
+    if torus.n == 2:
+        phis = np.linspace(0.0, math.pi, 200_000, endpoint=False)
+        dirs = np.column_stack([np.cos(phis), np.sin(phis)])
+    else:
+        dirs = _fibonacci_hemisphere(400_000)
+    return float(np.max(curvature_radius_products(torus, dirs)))
+
+
 def test_worst_direction_certificate_fields():
     torus = TorusEmbedding(product_family(2), np.array([1.0, 1.3]))
     ws = torus_worst_direction(torus, grid=512)
-    assert ws.grid_points == 512
-    assert ws.grid_spacing > 0.0
-    assert ws.certified_upper >= ws.value - 1e-12
+    assert ws.certified_upper == ws.value
+    assert ws.value >= _dense_oracle(torus) - 1e-12
+    torus3 = TorusEmbedding(product_family(3), np.array([1.0, 1.3, 0.8]))
+    ws3 = torus_worst_direction(torus3, grid=512)
+    assert ws3.grid_points == 512
+    assert ws3.grid_spacing > 0.0
+    assert ws3.certified_upper >= ws3.value
+
+
+@pytest.mark.parametrize(
+    "freqs",
+    [
+        triangular_family(2),  # critical polynomial vanishes at equal weights
+        product_family(2),  # maximum on the axis t = inf
+        np.array([[1, 0], [0, 1], [1, 1], [1, -1]]),
+        np.array([[1, 0], [1, 2], [3, 1]]),
+        triangular_family(3),
+        product_family(3),
+    ],
+    ids=["tri2", "prod2", "square2", "skew2", "tri3", "prod3"],
+)
+def test_worst_direction_against_dense_oracle(freqs):
+    # the value is kappa * R at the returned direction, so it cannot exceed
+    # the true maximum, and it may not fall below a dense sample of it
+    rng = np.random.default_rng(87)
+    weight_sets = [np.ones(len(freqs))] + [rng.uniform(0.3, 2.0, len(freqs)) for _ in range(4)]
+    for weights in weight_sets:
+        torus = TorusEmbedding(freqs, weights)
+        ws = torus_worst_direction(torus, grid=1024)
+        at_direction = torus_normal_curvature(torus, ws.direction) * torus.sphere_radius
+        assert ws.value == pytest.approx(at_direction, rel=1e-12)
+        assert ws.value >= _dense_oracle(torus) - 1e-12
 
 
 def test_optimizer_recovers_triangular_optimum():
