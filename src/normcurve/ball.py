@@ -1,15 +1,17 @@
-"""Minimal enclosing ball of a finite point set in R^D.
+"""Minimal enclosing ball of a finite point set in R^D, with a certificate.
 
-First-order core-set iteration: move the center toward the current
-farthest point with step 1/(k+1).  The iteration count grows like 1/tol,
-which is the practical regime for the well-conditioned point sets used
-here (up to D = 28, 10^3-10^4 points); the returned radius is always the
-exact maximum distance from the returned center, so the ball is feasible
-by construction.  The run is deterministic for a fixed input order.
+Bădoiu–Clarkson from the mean: step 1/(k+1) toward the farthest point.
+This is Frank–Wolfe on the dual, max over the simplex of
+Σλᵢ|pᵢ|² − |Σλᵢpᵢ|², from uniform weights (Clarkson, ACM TALG 6(4), 2010):
+each center c = Σλᵢpᵢ has covering radius ≥ r* ≥ √(Σλᵢ|pᵢ|² − |c|²), and
+the run stops when the two bounds meet within ``tol``.  Points are shifted
+to their mean first, so rounding in both bounds scales with the radius, not
+with the distance from the origin.  Deterministic for a fixed input order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,10 @@ __all__ = ["Ball", "min_enclosing_ball"]
 
 @dataclass
 class Ball:
-    """Enclosing ball plus a convergence report."""
+    """Enclosing ball and its certificate: the minimal radius lies in
+    [``lower_bound``, ``radius``], and ``converged`` means that
+    ``radius - lower_bound <= tol * radius``.  ``radius`` is the exact
+    covering radius of ``center``, so the ball holds every point."""
 
     center: np.ndarray
     radius: float
@@ -36,29 +41,23 @@ class Ball:
         return bool(np.all(d <= self.radius + slack))
 
 
-def _farthest(points: np.ndarray, sq_norms: np.ndarray, center: np.ndarray) -> int:
-    # argmax |p - c|^2 = argmax (|p|^2 - 2 <p, c>); the |c|^2 term is common
-    return int(np.argmax(sq_norms - 2.0 * (points @ center)))
-
-
 def min_enclosing_ball(points, tol: float = 1e-6, max_iter: int | None = None) -> Ball:
-    """Approximate minimal enclosing ball with relative tolerance ``tol``.
+    """Minimal enclosing ball, certified to relative gap ``tol``.
 
     Parameters
     ----------
     points : array-like, shape (N, D)
         Nonempty point set.
     tol : float
-        Target relative accuracy of the radius.
+        Relative primal–dual gap at which the run stops.
     max_iter : int, optional
         Iteration cap; defaults to min(ceil(2/tol), 200000).
 
     Returns
     -------
     Ball with the best center seen, its exact covering radius, the number
-    of iterations used, a half-diameter lower bound, and a convergence
-    flag (radius gap below tol relative to the radius, or the iterate
-    displacement became negligible).
+    of center moves, the best dual lower bound, and whether the gap was
+    certified within the cap.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -67,40 +66,39 @@ def min_enclosing_ball(points, tol: float = 1e-6, max_iter: int | None = None) -
         raise ValueError("min_enclosing_ball requires at least one point")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = points.shape[0]
-    if n == 1:
-        return Ball(center=points[0].copy(), radius=0.0, iterations=0, converged=True)
-
     if max_iter is None:
         max_iter = min(int(np.ceil(2.0 / tol)), 200_000)
 
-    sq_norms = np.einsum("ij,ij->i", points, points)
-    center = points.mean(axis=0)
-
-    # half-diameter lower bound from a double farthest-point scan
-    a = points[_farthest(points, sq_norms, center)]
-    b = points[_farthest(points, sq_norms, a)]
-    lower = 0.5 * float(np.linalg.norm(a - b))
-
-    best_center = center.copy()
-    best_radius = float(np.max(np.linalg.norm(points - center, axis=1)))
-    last_step = np.inf
+    origin = points.mean(axis=0)
+    shifted = points - origin
+    sq_norms = np.einsum("ij,ij->i", shifted, shifted)
+    center = np.zeros(points.shape[1])  # Σλᵢpᵢ, in shifted coordinates
+    weighted_sq = float(sq_norms.mean())  # Σλᵢ|pᵢ|²
+    best_center, best_sq, lower_sq = center, math.inf, 0.0
     k = 0
-    for k in range(1, max_iter + 1):
-        far = points[_farthest(points, sq_norms, center)]
-        move = (far - center) / (k + 1.0)
-        center += move
-        last_step = float(np.linalg.norm(move))
-        if last_step <= 0.05 * tol * max(best_radius, lower):
+    while True:
+        # |p - c|^2 = (|p|^2 - 2 <p, c>) + |c|^2
+        score = sq_norms - 2.0 * (shifted @ center)
+        far = int(np.argmax(score))
+        c_sq = float(center @ center)
+        primal_sq = max(float(score[far]) + c_sq, 0.0)
+        if primal_sq < best_sq:
+            best_center, best_sq = center.copy(), primal_sq
+        lower_sq = max(lower_sq, weighted_sq - c_sq)
+        upper = math.sqrt(best_sq)
+        if upper - math.sqrt(lower_sq) <= tol * upper or k == max_iter:
             break
-    radius = float(np.max(np.linalg.norm(points - center, axis=1)))
-    if radius < best_radius:
-        best_center, best_radius = center, radius
-    converged = (best_radius - lower) <= tol * best_radius or last_step <= 0.05 * tol * best_radius
+        k += 1
+        center += (shifted[far] - center) / (k + 1.0)
+        weighted_sq += (sq_norms[far] - weighted_sq) / (k + 1.0)
+
+    best_center = origin + best_center
+    radius = float(np.max(np.linalg.norm(points - best_center, axis=1)))
+    lower = math.sqrt(lower_sq)
     return Ball(
         center=best_center,
-        radius=best_radius,
+        radius=radius,
         iterations=k,
-        converged=bool(converged),
+        converged=radius - lower <= tol * radius,
         lower_bound=lower,
     )

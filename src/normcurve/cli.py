@@ -204,7 +204,7 @@ def check_sphere_radius(points: int, ball_tol: float, seed: int) -> dict:
     """Enclosing-ball radius of sampled point clouds against r_n."""
     rng = np.random.default_rng([seed, 2])
     spaces = list(veronese.standard_planes()) + [veronese.space("real", 3)]
-    radii, expected, centers = [], [], []
+    radii, expected, centers, gaps, iterations = [], [], [], [], []
     for spc in spaces:
         n = spc.m * math.ceil(points / spc.m)  # complete frames
         cloud = veronese.sample_points(spc, n, rng)
@@ -212,11 +212,15 @@ def check_sphere_radius(points: int, ball_tol: float, seed: int) -> dict:
         radii.append(b.radius)
         expected.append(spc.sphere_radius)
         centers.append(float(np.linalg.norm(b.center)))
+        gaps.append(b.gap)
+        iterations.append(b.iterations)
     dev = max(abs(r - e) for r, e in zip(radii, expected))
     return {
         "radii": radii,
         "expected": expected,
         "center_norms": centers,
+        "gaps": gaps,
+        "iterations": iterations,
         "max_deviation": dev,
         "spaces": [s.name for s in spaces],
     }
@@ -240,9 +244,8 @@ def check_circle_geodesics(step: float, seed: int) -> dict:
         closure = float(np.linalg.norm(curve.vertices[-1] - curve.vertices[0]))
         _, radius, _ = curves.fit_circle(curve.vertices)
         planar = curves.planarity_residual(curve.vertices)
-        drift = max(
-            float(np.max(np.abs(var.constraint(v)))) for v in curve.vertices[:: len(curve.vertices) // 16]
-        )
+        every = max(1, len(curve.vertices) // 16)
+        drift = max(float(np.max(np.abs(var.constraint(v)))) for v in curve.vertices[::every])
         max_closure = max(max_closure, closure)
         max_radius_dev = max(max_radius_dev, abs(radius - 0.5))
         max_planarity = max(max_planarity, planar)
@@ -541,7 +544,13 @@ def _suite_veronese(c: dict, seed: int):
             (1e-6, 1e-6, 1e-6),
         ),
     ]
-    return claims, {}, {}
+    measured = {
+        "ball_max_gap": max(sr["gaps"]),
+        "ball_iterations": sum(sr["iterations"]),
+        "max_center_norm": max(sr["center_norms"]),
+        "geodesic_max_drift": cg["max_drift"],
+    }
+    return claims, measured, {}
 
 
 def _suite_rigidity(c: dict, seed: int):

@@ -44,7 +44,10 @@ def test_criterion_1_normal_curvature_constant(suite):
 
 
 def test_criterion_2_sphere_radius(suite):
-    _assert_claims(suite("veronese"), "C2")
+    report = suite("veronese")
+    _assert_claims(report, "C2")
+    # two-sided: each radius is also certified minimal by the ball's dual bound
+    assert report.environment["veronese.ball_max_gap"] <= 1e-12
 
 
 def test_criterion_3_circle_geodesics(suite):

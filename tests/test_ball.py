@@ -1,9 +1,10 @@
-"""Minimal enclosing ball: feasibility, optimality witnesses, known sets."""
+"""Minimal enclosing ball: feasibility, optimality witnesses, certificate, known sets."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from normcurve import veronese
 from normcurve.ball import min_enclosing_ball
@@ -76,3 +77,71 @@ def test_veronese_rp2_cloud():
     b = min_enclosing_ball(pts, tol=1e-4)
     assert b.radius == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-4)
     assert np.linalg.norm(b.center) <= 1e-3
+
+
+def _slsqp_radius(pts):
+    """Minimal enclosing radius from the epigraph problem min t s.t.
+    |p_i - c|^2 <= t, solved by SLSQP in centred, normalized coordinates.
+    Returns the exact covering radius of the solver's center."""
+    shift = pts.mean(axis=0)
+    scale = float(np.max(np.linalg.norm(pts - shift, axis=1)))
+    q = (pts - shift) / scale
+    d = q.shape[1]
+    res = minimize(
+        lambda x: x[-1],
+        np.append(np.zeros(d), 1.0),
+        jac=lambda x: np.eye(d + 1)[-1],
+        method="SLSQP",
+        constraints={
+            "type": "ineq",
+            "fun": lambda x: x[-1] - np.sum((q - x[:-1]) ** 2, axis=1),
+            "jac": lambda x: np.column_stack([2.0 * (q - x[:-1]), np.ones(len(q))]),
+        },
+        options={"ftol": 1e-12, "maxiter": 500},
+    )
+    assert res.success, res.message
+    covering = float(np.max(np.linalg.norm(q - res.x[:-1], axis=1)))
+    assert covering == pytest.approx(math.sqrt(res.x[-1]), rel=1e-9)  # feasible optimum
+    return scale * covering
+
+
+@pytest.mark.parametrize("seed", [81, 82, 83])
+def test_certificate_against_slsqp_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for dim in range(2, 7):
+        n = int(rng.integers(2, 61))
+        pts = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0) + rng.uniform(-100.0, 100.0, dim)
+        exact = _slsqp_radius(pts)
+        for tol, cap in ((1e-2, None), (1e-4, None), (1e-4, 5)):
+            b = min_enclosing_ball(pts, tol=tol, max_iter=cap)
+            assert b.lower_bound <= exact * (1.0 + 1e-12)
+            assert exact <= b.radius * (1.0 + 1e-9)
+            assert b.radius == np.max(np.linalg.norm(pts - b.center, axis=1))
+            if b.converged:
+                assert b.radius - b.lower_bound <= tol * b.radius
+            else:
+                assert b.iterations == cap
+
+
+@pytest.mark.parametrize("name", ["rp2", "cp2", "hp2", "op2", "rp3"])
+def test_veronese_frame_clouds_certified_at_the_mean(name):
+    # complete frames sum to the identity, so the mean is the exact center
+    # and the uniform dual weights already give the exact radius
+    spc = veronese.space_from_name(name)
+    pts = veronese.sample_points(spc, spc.m * 100, np.random.default_rng(65))
+    b = min_enclosing_ball(pts, tol=1e-4)
+    assert b.iterations == 0
+    assert b.converged
+    assert b.gap <= 1e-12
+    assert np.array_equal(b.center, pts.mean(axis=0))
+
+
+def test_certificate_survives_a_far_offset():
+    # both bounds cancel squared norms; far from the origin that rounding
+    # must not lift the dual bound above the radius
+    spc = veronese.space_from_name("cp2")
+    pts = veronese.sample_points(spc, spc.m * 100, np.random.default_rng(65)) + 1e6
+    b = min_enclosing_ball(pts, tol=1e-4)
+    assert b.converged
+    assert b.lower_bound <= spc.sphere_radius + 1e-9
+    assert b.radius >= spc.sphere_radius - 1e-9

@@ -8,6 +8,7 @@ import pytest
 from normcurve.cli import (
     Claim,
     VerificationReport,
+    check_circle_geodesics,
     dump_geodesic,
     load_config,
     main,
@@ -121,6 +122,9 @@ def test_verify_all_exit_code_and_side_table(small_config, tmp_path):
     for section, values in effective.items():
         for key, value in values.items():
             assert f"{section}.{key} = {format(value, '.12g')}\n" in text
+    # and so are the veronese suite's diagnostics
+    for key in ("ball_max_gap", "ball_iterations", "max_center_norm", "geodesic_max_drift"):
+        assert f"veronese.{key} = " in text
     # torus side table is written next to the report
     side = tmp_path / "all.txt.torus_directions.csv"
     assert side.exists()
@@ -185,6 +189,12 @@ def test_failing_claim_exits_one(monkeypatch, small_config):
     # the suite looks the engine up at call time, so the patched one runs
     monkeypatch.setattr(cli_module, "check_rigidity_arithmetic", off_by_one)
     assert main(["verify", "rigidity", "--config", small_config]) == 1
+
+
+def test_circle_geodesics_coarse_step():
+    # at step 0.25 a length-pi geodesic has fewer than 16 vertices
+    out = check_circle_geodesics(step=0.25, seed=0)
+    assert math.isfinite(out["max_drift"])
 
 
 def test_dump_geodesic(tmp_path):
