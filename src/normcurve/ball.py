@@ -28,9 +28,9 @@ class Ball:
 
     center: np.ndarray
     radius: float
-    iterations: int = 0
-    converged: bool = True
-    lower_bound: float = 0.0
+    iterations: int
+    converged: bool
+    lower_bound: float
 
     @property
     def gap(self) -> float:

@@ -174,7 +174,7 @@ def check_normal_curvature(directions: int, seed: int) -> dict:
     """Max deviation of |II(u, u)| from 2 over random unit tangents."""
     rng = np.random.default_rng([seed, 1])
     per_point = 25
-    out = {}
+    per_space = {}
     worst = 0.0
     for spc in veronese.standard_planes():
         var = veronese.variety(spc)
@@ -194,10 +194,9 @@ def check_normal_curvature(directions: int, seed: int) -> dict:
             done += take
             if done >= directions:
                 break
-        out[spc.name] = dev
+        per_space[spc.name] = dev
         worst = max(worst, dev)
-    out["max_deviation"] = worst
-    return out
+    return {"max_deviation": worst, "per_space": per_space}
 
 
 def check_sphere_radius(points: int, ball_tol: float, seed: int) -> dict:
@@ -549,6 +548,8 @@ def _suite_veronese(c: dict, seed: int):
         "ball_iterations": sum(sr["iterations"]),
         "max_center_norm": max(sr["center_norms"]),
         "geodesic_max_drift": cg["max_drift"],
+        **{f"normal_curvature_dev.{name}": dev for name, dev in nc["per_space"].items()},
+        **{f"mean_curvature_dev.{name}": dev for name, dev in mc["per_space"].items()},
     }
     return claims, measured, {}
 

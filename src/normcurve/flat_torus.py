@@ -20,9 +20,9 @@ The scale-invariant objective kappa(u) * R is bounded below by
 sqrt(3 n / (n + 2)) over all families and directions; the triangular
 family {e_1, e_2, e_1 + e_2} with equal weights attains the bound at
 n = 2 with direction-independent curvature.  ``torus_worst_direction`` is
-exact at n = 2 (polynomial roots); at n = 3 it is a grid plus Newton ascent
-whose ``certified_upper`` is an estimate, not a proof.  ``optimize_weights``
-runs a derivative-free minimax descent over the weights for a fixed family.
+exact at n = 2 (polynomial roots); at n = 3 it is a grid plus Newton
+ascent.  ``optimize_weights`` runs a derivative-free minimax descent over
+the weights for a fixed family.
 """
 
 from __future__ import annotations
@@ -133,14 +133,11 @@ def curvature_radius_products(torus: TorusEmbedding, dirs: np.ndarray) -> np.nda
 
 @dataclass
 class DirectionSearch:
-    """Worst direction and its certificate (``value`` itself where exact, n <= 2)."""
+    """Worst direction, its value kappa * R, and the number of candidates."""
 
     direction: np.ndarray
     value: float
     grid_points: int
-    grid_spacing: float
-    lipschitz_estimate: float
-    certified_upper: float
 
 
 def _fibonacci_hemisphere(count: int) -> np.ndarray:
@@ -198,12 +195,9 @@ def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionS
 
     Exact at n = 2, from the roots of a polynomial; ``grid`` is not read.
     At n = 3, a Fibonacci grid of ``grid`` directions, then a batched Newton
-    ascent from its 4 best points; ``certified_upper`` adds half the spacing
-    times a finite-difference Lipschitz estimate (over 1/64 of the grid) to
-    the grid maximum, which is an estimate, not a proof.
+    ascent from its 4 best points.
     """
     n = torus.n
-    points, spacing, lipschitz, grid_upper = 0, 0.0, 0.0, -np.inf
     if n == 1:
         dirs = np.ones((1, 1))
     elif n == 2:
@@ -222,25 +216,15 @@ def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionS
             raise ValueError(f"grid must be at least 1, got {grid}")
         grid_dirs = _fibonacci_hemisphere(grid)
         grid_vals = curvature_radius_products(torus, grid_dirs)
-        points, spacing = grid, math.sqrt(4.0 * math.pi / grid)
-        sample = grid_dirs[:: max(1, grid // 64)]
-        frame = 1e-5 * _tangent_frame(sample)
-        shifted = np.stack([sample[:, None] + frame, sample[:, None] - frame], axis=2)
-        shifted /= np.linalg.norm(shifted, axis=-1, keepdims=True)
-        fv = curvature_radius_products(torus, shifted.reshape(-1, 3)).reshape(-1, 2)
-        # twice the largest central difference |f(+eps) - f(-eps)| / (2 eps)
-        lipschitz = float(np.max(np.abs(fv[:, 0] - fv[:, 1]))) / 1e-5
-        grid_upper = float(grid_vals.max()) + 0.5 * lipschitz * spacing
         top = np.argsort(grid_vals)[::-1][:4]
         dirs, vals = _newton_ascent(torus, grid_dirs[top], grid_vals[top])
+        points = grid
     else:
         raise ValueError("direction search is implemented for n <= 3")
     if n < 3:
         points, vals = len(dirs), curvature_radius_products(torus, dirs)
     best = int(np.argmax(vals))
-    value = float(vals[best])
-    direction = torus.unit_direction(dirs[best])
-    return DirectionSearch(direction, value, points, spacing, lipschitz, max(value, grid_upper))
+    return DirectionSearch(torus.unit_direction(dirs[best]), float(vals[best]), points)
 
 
 @dataclass

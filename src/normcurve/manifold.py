@@ -1,10 +1,12 @@
 """Generic engine for submanifolds of R^D given by smooth constraint maps.
 
 A manifold is the zero set of a constraint map c: R^D -> R^C near a base
-point.  The constraint rows may be redundant: tangent spaces come from a
-rank-revealing SVD of the Jacobian (singular values below ``rank_tol``
-times the largest are treated as zero), and all normal-space solves use
-the pseudo-inverse restricted to the numerically determined row space.
+point.  The constraint rows may be redundant, so ranks use a fixed
+relative cut: a singular value of the Jacobian at most ``RANK_TOL`` times
+the largest counts as zero.  Tangent spaces are the null space of a full
+SVD of the Jacobian; every normal-space solve is one least-squares call
+(LAPACK gelsd) with the same cut, whose minimum-norm solution lies in the
+row space of the Jacobian.
 
 For the quadratic varieties used in this package the constraint Hessian
 is exact and constant, so the second fundamental form
@@ -42,6 +44,8 @@ __all__ = [
     "integrate_geodesic",
 ]
 
+RANK_TOL = 1e-8
+
 
 class SingularPointError(RuntimeError):
     """Constraint rank at a point differs from the base-point rank."""
@@ -66,7 +70,6 @@ class ImplicitManifold:
     hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     base_point: np.ndarray
     intrinsic_dim: int | None = None
-    rank_tol: float = 1e-8
     name: str = ""
 
     def __post_init__(self):
@@ -76,7 +79,7 @@ class ImplicitManifold:
         residual = np.max(np.abs(self.constraint(self.base_point)))
         if residual > 1e-10:
             raise ValueError(f"base point violates the constraint (residual {residual:.2e})")
-        rank = _jacobian_rank(self, self.base_point)
+        rank = _kernel(self, self.base_point)[0]
         inferred = self.ambient_dim - rank
         if self.intrinsic_dim is None:
             self.intrinsic_dim = inferred
@@ -107,51 +110,47 @@ class GeodesicState:
             raise ValueError(f"velocity must be unit (got |v| = {speed:.12g})")
 
 
-def _svd(manifold: ImplicitManifold, p: np.ndarray, full: bool = False):
-    jac = manifold.jacobian(p)
-    u, s, vt = np.linalg.svd(jac, full_matrices=full)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > manifold.rank_tol * s[0]))
-    return u, s, vt, rank
+def _kernel(manifold: ImplicitManifold, p: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank of Dc(p) and an orthonormal basis of its null space, as rows."""
+    _, s, vt = np.linalg.svd(manifold.jacobian(p))
+    rank = int(np.sum(s > RANK_TOL * np.max(s, initial=0.0)))
+    return rank, vt[rank:]
 
 
-def _jacobian_rank(manifold: ImplicitManifold, p: np.ndarray) -> int:
-    return _svd(manifold, p)[3]
+def _solve(
+    manifold: ImplicitManifold, p: np.ndarray, rhs: np.ndarray, on_manifold: bool = True
+) -> np.ndarray:
+    """Minimum-norm solution of Dc(p) w = rhs; lies in the row space of Dc(p).
+
+    On the manifold the rank must equal the base-point rank; off it (Newton
+    and RK4 stage points) it need only be nonzero.
+    """
+    w, _, rank, _ = np.linalg.lstsq(manifold.jacobian(p), rhs, rcond=RANK_TOL)
+    if rank == 0 or (on_manifold and rank != manifold.codim):
+        raise SingularPointError(
+            f"constraint rank {rank} at the query point differs from "
+            f"base-point rank {manifold.codim}"
+        )
+    return w
 
 
-def _check_rank(manifold: ImplicitManifold, p: np.ndarray, rank: int) -> None:
+def tangent_basis(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker Dc(p), shape (intrinsic_dim, D)."""
+    rank, basis = _kernel(manifold, np.asarray(p, dtype=float))
     if rank != manifold.codim:
         raise SingularPointError(
             f"constraint rank {rank} at the query point differs from "
             f"base-point rank {manifold.codim}"
         )
-
-
-def _solve_normal(u, s, vt, rank, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of J w = rhs; lies in the row space of J."""
-    coeff = (u[:, :rank].T @ rhs) / s[:rank]
-    return vt[:rank].T @ coeff
-
-
-def tangent_basis(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker Dc(p), shape (intrinsic_dim, D)."""
-    p = np.asarray(p, dtype=float)
-    _, _, vt, rank = _svd(manifold, p, full=True)
-    _check_rank(manifold, p, rank)
-    return vt[rank:]
+    return basis
 
 
 def second_fundamental_form(
     manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """Normal-space value II(u, v) for tangent vectors u, v at p."""
-    p = np.asarray(p, dtype=float)
-    su, ss, svt, rank = _svd(manifold, p)
-    _check_rank(manifold, p, rank)
     rhs = -manifold.hessian(np.asarray(u, float), np.asarray(v, float))
-    return _solve_normal(su, ss, svt, rank, rhs)
+    return _solve(manifold, np.asarray(p, dtype=float), rhs)
 
 
 def normal_curvature(manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray) -> float:
@@ -166,11 +165,8 @@ def normal_curvature(manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray) -
 def mean_curvature_vector(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
     """Trace of II over an orthonormal tangent basis at p."""
     p = np.asarray(p, dtype=float)
-    su, ss, svt, rank = _svd(manifold, p)
-    _check_rank(manifold, p, rank)
-    basis = tangent_basis(manifold, p)
-    rhs = -sum(manifold.hessian(e, e) for e in basis)
-    return _solve_normal(su, ss, svt, rank, rhs)
+    rhs = -sum(manifold.hessian(e, e) for e in tangent_basis(manifold, p))
+    return _solve(manifold, p, rhs)
 
 
 def sectional_curvature(
@@ -187,31 +183,21 @@ def sectional_curvature(
         raise ValueError("u and v must be unit vectors")
     if abs(float(u @ v)) > 1e-9:
         raise ValueError("u and v must be orthogonal")
-    p = np.asarray(p, dtype=float)
-    su, ss, svt, rank = _svd(manifold, p)
-    _check_rank(manifold, p, rank)
-    ii_uu = _solve_normal(su, ss, svt, rank, -manifold.hessian(u, u))
-    ii_vv = _solve_normal(su, ss, svt, rank, -manifold.hessian(v, v))
-    ii_uv = _solve_normal(su, ss, svt, rank, -manifold.hessian(u, v))
+    hess = manifold.hessian
+    rhs = -np.stack([hess(u, u), hess(v, v), hess(u, v)], axis=1)
+    ii_uu, ii_vv, ii_uv = _solve(manifold, np.asarray(p, dtype=float), rhs).T
     return float(ii_uu @ ii_vv - ii_uv @ ii_uv)
 
 
-def project_point(
-    manifold: ImplicitManifold,
-    p: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 5,
-) -> np.ndarray:
-    """Gauss-Newton projection of p onto the constraint set."""
+def project_point(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
+    """Gauss-Newton projection of p onto the constraint set: at most 5 steps,
+    stopping once every constraint residual is at most 1e-12."""
     p = np.asarray(p, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(5):
         r = manifold.constraint(p)
-        if np.max(np.abs(r)) <= tol:
+        if np.max(np.abs(r)) <= 1e-12:
             return p
-        su, ss, svt, rank = _svd(manifold, p)
-        if rank == 0:
-            raise SingularPointError("zero Jacobian during projection")
-        p -= _solve_normal(su, ss, svt, rank, r)
+        p -= _solve(manifold, p, r, on_manifold=False)
     residual = np.max(np.abs(manifold.constraint(p)))
     if residual > 1e-8:
         raise ProjectionError(f"projection stalled at residual {residual:.2e}")
@@ -220,10 +206,8 @@ def project_point(
 
 def project_velocity(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project v onto the tangent space at p and renormalize to unit length."""
-    su, ss, svt, rank = _svd(manifold, p)
-    _check_rank(manifold, p, rank)
     v = np.asarray(v, dtype=float)
-    v = v - _solve_normal(su, ss, svt, rank, manifold.jacobian(p) @ v)
+    v = v - _solve(manifold, p, manifold.jacobian(p) @ v)
     speed = np.linalg.norm(v)
     if speed == 0.0:
         raise ValueError("velocity projects to zero")
@@ -238,10 +222,7 @@ def geodesic_state(manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray) -> 
 
 
 def _acceleration(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    su, ss, svt, rank = _svd(manifold, p)
-    if rank == 0:
-        raise SingularPointError("zero Jacobian along geodesic")
-    return _solve_normal(su, ss, svt, rank, -manifold.hessian(v, v))
+    return _solve(manifold, p, -manifold.hessian(v, v), on_manifold=False)
 
 
 def integrate_geodesic(
@@ -249,21 +230,18 @@ def integrate_geodesic(
     state: GeodesicState,
     length: float,
     step: float = 1e-3,
-    project_tol: float = 1e-12,
-    edge_tol: float | None = None,
 ) -> DiscreteCurve:
     """Integrate gamma'' = II(gamma', gamma') for the given arc length.
 
     The step count is rounded so that the nominal step divides the length
     exactly.  After each full step the position is re-projected onto the
     constraint set and the velocity onto the tangent space (renormalized),
-    so the recorded vertices satisfy |c| <= project_tol-level residuals
-    throughout.
+    so the recorded vertices keep constraint residuals near 1e-12 (a
+    projection that stalls above 1e-8 raises ``ProjectionError``).
 
     Vertices sit at equal arc spacing, so chords fall short of the step by
-    about step^3 * curvature^2 / 24; unless ``edge_tol`` is given, the
-    returned curve's edge tolerance is sized from the measured normal
-    curvature (never below 1e-9).
+    about step^3 * curvature^2 / 24; the returned curve's edge tolerance is
+    sized from the measured normal curvature (never below 1e-9).
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -293,9 +271,7 @@ def integrate_geodesic(
         a4 = _acceleration(manifold, p4, v4)
         p = p + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        p = project_point(manifold, p, tol=project_tol)
+        p = project_point(manifold, p)
         v = project_velocity(manifold, p, v)
         vertices[k + 1] = p
-    if edge_tol is None:
-        edge_tol = max(1e-9, h**3 * max_accel**2 / 16.0)
-    return DiscreteCurve(vertices, nominal_step=h, edge_tol=edge_tol)
+    return DiscreteCurve(vertices, nominal_step=h, edge_tol=max(1e-9, h**3 * max_accel**2 / 16.0))

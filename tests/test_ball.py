@@ -7,12 +7,18 @@ import pytest
 from scipy.optimize import minimize
 
 from normcurve import veronese
-from normcurve.ball import min_enclosing_ball
+from normcurve.ball import Ball, min_enclosing_ball
 
 
 def test_empty_rejected():
     with pytest.raises(ValueError):
         min_enclosing_ball(np.zeros((0, 3)))
+
+
+def test_ball_has_no_default_certificate():
+    # a ball built without a run must not claim to be converged
+    with pytest.raises(TypeError):
+        Ball(np.zeros(2), 1.0)
 
 
 def test_single_point():

@@ -125,6 +125,9 @@ def test_verify_all_exit_code_and_side_table(small_config, tmp_path):
     # and so are the veronese suite's diagnostics
     for key in ("ball_max_gap", "ball_iterations", "max_center_norm", "geodesic_max_drift"):
         assert f"veronese.{key} = " in text
+    for space in ("RP2", "CP2", "HP2", "OP2"):
+        assert f"veronese.normal_curvature_dev.{space} = " in text
+        assert f"veronese.mean_curvature_dev.{space} = " in text
     # torus side table is written next to the report
     side = tmp_path / "all.txt.torus_directions.csv"
     assert side.exists()

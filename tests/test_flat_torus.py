@@ -123,13 +123,10 @@ def _dense_oracle(torus):
 def test_worst_direction_certificate_fields():
     torus = TorusEmbedding(product_family(2), np.array([1.0, 1.3]))
     ws = torus_worst_direction(torus, grid=512)
-    assert ws.certified_upper == ws.value
     assert ws.value >= _dense_oracle(torus) - 1e-12
     torus3 = TorusEmbedding(product_family(3), np.array([1.0, 1.3, 0.8]))
     ws3 = torus_worst_direction(torus3, grid=512)
     assert ws3.grid_points == 512
-    assert ws3.grid_spacing > 0.0
-    assert ws3.certified_upper >= ws3.value
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from normcurve.manifold import (
     mean_curvature_vector,
     normal_curvature,
     project_point,
+    project_velocity,
     second_fundamental_form,
     sectional_curvature,
     tangent_basis,
@@ -83,11 +84,42 @@ def test_plane_curvature_zero():
     assert normal_curvature(var, var.base_point, u) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_singular_point_reported():
-    var = cone_manifold()
-    apex = np.zeros(3)
+E1, E2 = np.eye(3)[:2]
+APEX_QUERIES = [
+    (tangent_basis, ()),
+    (second_fundamental_form, (E1, E2)),
+    (normal_curvature, (E1,)),
+    (mean_curvature_vector, ()),
+    (sectional_curvature, (E1, E2)),
+    (project_velocity, (E1,)),
+]
+
+
+@pytest.mark.parametrize("query,args", APEX_QUERIES, ids=[q.__name__ for q, _ in APEX_QUERIES])
+def test_singular_point_reported(query, args):
+    # the Jacobian vanishes at the cone's apex: rank 0, not the base-point rank 1
     with pytest.raises(SingularPointError):
-        tangent_basis(var, apex)
+        query(cone_manifold(), np.zeros(3), *args)
+
+
+def test_partial_rank_drop_reported():
+    # the circle {|x| = 1, x2 = 0} has codim 2; at (0, 0, 1) both constraint
+    # gradients point along e2, so the rank is 1: nonzero, yet not the base rank
+    var = ImplicitManifold(
+        ambient_dim=3,
+        constraint=lambda x: np.array([x @ x - 1.0, x[2]]),
+        jacobian=lambda x: np.array([2.0 * x, [0.0, 0.0, 1.0]]),
+        hessian=lambda u, v: np.array([2.0 * (u @ v), 0.0]),
+        base_point=np.array([1.0, 0.0, 0.0]),
+    )
+    with pytest.raises(SingularPointError):
+        second_fundamental_form(var, np.array([0.0, 0.0, 1.0]), E1, E1)
+
+
+def test_projection_through_zero_jacobian_reported():
+    # residual -1 at the sphere's centre, where the Jacobian 2x is zero
+    with pytest.raises(SingularPointError):
+        project_point(sphere_manifold(1.0), np.zeros(3))
 
 
 def test_declared_dimension_mismatch_rejected():
