@@ -15,6 +15,7 @@ projective-space structure and are rejected.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "HermitianMatrix",
     "jordan_product",
     "flatten",
+    "flatten_entries",
     "unflatten",
     "flat_dim",
     "frobenius_inner",
@@ -95,10 +97,6 @@ class HermitianMatrix:
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
-    def conjugate_transpose(self) -> "HermitianMatrix":
-        e = np.swapaxes(self.entries * self.algebra.conj_signs, 0, 1)
-        return HermitianMatrix(self.algebra, e, validate=False)
-
     def matmul(self, other: "HermitianMatrix") -> np.ndarray:
         """Raw (generally non-Hermitian) matrix product, as an entries array."""
         self._check_compatible(other)
@@ -130,9 +128,6 @@ class HermitianMatrix:
 
     __rmul__ = __mul__
 
-    def jordan(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return jordan_product(self, other)
-
     def allclose(self, other: "HermitianMatrix", atol: float = 1e-12) -> bool:
         self._check_compatible(other)
         return bool(np.allclose(self.entries, other.entries, rtol=0.0, atol=atol))
@@ -159,11 +154,24 @@ def flatten(x: HermitianMatrix) -> np.ndarray:
     Off-diagonal entries are taken row-major over pairs i < j, each
     contributing its full coefficient block.
     """
-    m = x.m
-    diag = x.entries[np.arange(m), np.arange(m), 0]
-    iu, ju = np.triu_indices(m, k=1)
-    off = (SQRT2 * x.entries[iu, ju]).ravel()
-    return np.concatenate([diag, off])
+    return flatten_entries(x.entries)
+
+
+@lru_cache(maxsize=None)
+def _flat_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal positions and the pairs i < j, row-major, of an m-by-m matrix."""
+    index = (np.arange(m), *np.triu_indices(m, k=1))
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
+def flatten_entries(entries: np.ndarray) -> np.ndarray:
+    """``flatten`` of an (..., m, m, dim) entries array, over its leading axes."""
+    ii, iu, ju = _flat_index(entries.shape[-2])
+    diag = entries[..., ii, ii, 0]
+    off = SQRT2 * entries[..., iu, ju, :]
+    return np.concatenate([diag, off.reshape(off.shape[:-2] + (-1,))], axis=-1)
 
 
 def unflatten(vec, algebra: Algebra, m: int) -> HermitianMatrix:
@@ -173,8 +181,8 @@ def unflatten(vec, algebra: Algebra, m: int) -> HermitianMatrix:
     if vec.shape != (d,):
         raise ValueError(f"expected flat vector of length {d}, got shape {vec.shape}")
     entries = np.zeros((m, m, algebra.dim))
-    entries[np.arange(m), np.arange(m), 0] = vec[:m]
-    iu, ju = np.triu_indices(m, k=1)
+    ii, iu, ju = _flat_index(m)
+    entries[ii, ii, 0] = vec[:m]
     off = vec[m:].reshape(len(iu), algebra.dim) / SQRT2
     entries[iu, ju] = off
     entries[ju, iu] = off * algebra.conj_signs

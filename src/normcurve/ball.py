@@ -36,10 +36,6 @@ class Ball:
     def gap(self) -> float:
         return self.radius - self.lower_bound
 
-    def contains(self, points, slack: float = 0.0) -> bool:
-        d = np.linalg.norm(np.asarray(points, float) - self.center, axis=-1)
-        return bool(np.all(d <= self.radius + slack))
-
 
 def min_enclosing_ball(points, tol: float = 1e-6, max_iter: int | None = None) -> Ball:
     """Minimal enclosing ball, certified to relative gap ``tol``.

@@ -550,6 +550,8 @@ def _suite_veronese(c: dict, seed: int):
         "geodesic_max_drift": cg["max_drift"],
         **{f"normal_curvature_dev.{name}": dev for name, dev in nc["per_space"].items()},
         **{f"mean_curvature_dev.{name}": dev for name, dev in mc["per_space"].items()},
+        **{f"sectional_min.{name}": kmin for name, (kmin, _) in sc["ranges"].items()},
+        **{f"sectional_max.{name}": kmax for name, (_, kmax) in sc["ranges"].items()},
     }
     return claims, measured, {}
 

@@ -16,7 +16,10 @@ is exact and constant, so the second fundamental form
 involves no numerical differentiation.  Geodesics integrate the ODE
 gamma'' = II(gamma', gamma') with a classical 4th-order step followed by
 re-projection of the position onto the constraint set (Gauss-Newton) and
-of the velocity onto the tangent space.
+of the velocity onto the tangent space.  The acceleration is a manifold's
+closed-form ``spray`` (p, v) -> II(v, v) if it has one, 2 sqrt(2) (1 - 2/m) w
+- 8 p o w with w = v o v on the Veronese varieties; the curvature queries
+always solve, so no claim they measure rests on the formula it would check.
 """
 
 from __future__ import annotations
@@ -60,8 +63,10 @@ class ImplicitManifold:
     """Submanifold of R^D cut out by ``constraint`` near ``base_point``.
 
     ``hessian`` is the constant bilinear map (u, v) -> D^2c[u, v]; it is
-    exact for quadratic constraints.  ``intrinsic_dim`` may be omitted, in
-    which case it is inferred from the Jacobian rank at the base point.
+    exact for quadratic constraints and broadcasts over leading axes of u
+    and v.  ``intrinsic_dim`` may be omitted, in which case it is inferred
+    from the Jacobian rank at the base point.  ``spray``, when set, returns
+    the geodesic acceleration II(v, v) for a tangent v at p in closed form.
     """
 
     ambient_dim: int
@@ -71,6 +76,7 @@ class ImplicitManifold:
     base_point: np.ndarray
     intrinsic_dim: int | None = None
     name: str = ""
+    spray: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.base_point = np.asarray(self.base_point, dtype=float)
@@ -96,11 +102,10 @@ class ImplicitManifold:
 
 @dataclass
 class GeodesicState:
-    """Position, unit velocity, and accumulated arc length along a geodesic."""
+    """Position and unit velocity on a geodesic."""
 
     position: np.ndarray
     velocity: np.ndarray
-    arc_length: float = 0.0
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -118,14 +123,14 @@ def _kernel(manifold: ImplicitManifold, p: np.ndarray) -> tuple[int, np.ndarray]
 
 
 def _solve(
-    manifold: ImplicitManifold, p: np.ndarray, rhs: np.ndarray, on_manifold: bool = True
+    manifold: ImplicitManifold, jac: np.ndarray, rhs: np.ndarray, on_manifold: bool = True
 ) -> np.ndarray:
-    """Minimum-norm solution of Dc(p) w = rhs; lies in the row space of Dc(p).
+    """Minimum-norm solution of Dc(p) w = rhs, given jac = Dc(p); lies in its row space.
 
     On the manifold the rank must equal the base-point rank; off it (Newton
     and RK4 stage points) it need only be nonzero.
     """
-    w, _, rank, _ = np.linalg.lstsq(manifold.jacobian(p), rhs, rcond=RANK_TOL)
+    w, _, rank, _ = np.linalg.lstsq(jac, rhs, rcond=RANK_TOL)
     if rank == 0 or (on_manifold and rank != manifold.codim):
         raise SingularPointError(
             f"constraint rank {rank} at the query point differs from "
@@ -150,7 +155,7 @@ def second_fundamental_form(
 ) -> np.ndarray:
     """Normal-space value II(u, v) for tangent vectors u, v at p."""
     rhs = -manifold.hessian(np.asarray(u, float), np.asarray(v, float))
-    return _solve(manifold, np.asarray(p, dtype=float), rhs)
+    return _solve(manifold, manifold.jacobian(np.asarray(p, dtype=float)), rhs)
 
 
 def normal_curvature(manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray) -> float:
@@ -165,8 +170,8 @@ def normal_curvature(manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray) -
 def mean_curvature_vector(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
     """Trace of II over an orthonormal tangent basis at p."""
     p = np.asarray(p, dtype=float)
-    rhs = -sum(manifold.hessian(e, e) for e in tangent_basis(manifold, p))
-    return _solve(manifold, p, rhs)
+    basis = tangent_basis(manifold, p)
+    return _solve(manifold, manifold.jacobian(p), -manifold.hessian(basis, basis).sum(axis=0))
 
 
 def sectional_curvature(
@@ -185,7 +190,7 @@ def sectional_curvature(
         raise ValueError("u and v must be orthogonal")
     hess = manifold.hessian
     rhs = -np.stack([hess(u, u), hess(v, v), hess(u, v)], axis=1)
-    ii_uu, ii_vv, ii_uv = _solve(manifold, np.asarray(p, dtype=float), rhs).T
+    ii_uu, ii_vv, ii_uv = _solve(manifold, manifold.jacobian(np.asarray(p, float)), rhs).T
     return float(ii_uu @ ii_vv - ii_uv @ ii_uv)
 
 
@@ -197,7 +202,7 @@ def project_point(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
         r = manifold.constraint(p)
         if np.max(np.abs(r)) <= 1e-12:
             return p
-        p -= _solve(manifold, p, r, on_manifold=False)
+        p -= _solve(manifold, manifold.jacobian(p), r, on_manifold=False)
     residual = np.max(np.abs(manifold.constraint(p)))
     if residual > 1e-8:
         raise ProjectionError(f"projection stalled at residual {residual:.2e}")
@@ -207,7 +212,8 @@ def project_point(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
 def project_velocity(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project v onto the tangent space at p and renormalize to unit length."""
     v = np.asarray(v, dtype=float)
-    v = v - _solve(manifold, p, manifold.jacobian(p) @ v)
+    jac = manifold.jacobian(p)
+    v = v - _solve(manifold, jac, jac @ v)
     speed = np.linalg.norm(v)
     if speed == 0.0:
         raise ValueError("velocity projects to zero")
@@ -218,11 +224,13 @@ def geodesic_state(manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray) -> 
     """Admissible initial state: p projected onto M, u projected and normalized."""
     p = project_point(manifold, p)
     u = project_velocity(manifold, p, u)
-    return GeodesicState(position=p, velocity=u, arc_length=0.0)
+    return GeodesicState(position=p, velocity=u)
 
 
 def _acceleration(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _solve(manifold, p, -manifold.hessian(v, v), on_manifold=False)
+    if manifold.spray is not None:
+        return manifold.spray(p, v)
+    return _solve(manifold, manifold.jacobian(p), -manifold.hessian(v, v), on_manifold=False)
 
 
 def integrate_geodesic(

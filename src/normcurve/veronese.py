@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import Algebra, algebra_by_kind
-from .ambient import SQRT2, HermitianMatrix, flat_dim, flatten, jordan_product, unflatten
+from .ambient import SQRT2, HermitianMatrix, flat_dim, flatten, flatten_entries, unflatten
 from .manifold import ImplicitManifold
 
 __all__ = [
@@ -132,27 +132,30 @@ def _coerce_vector(spc: VeroneseSpace, v) -> np.ndarray:
     return v
 
 
-def _projection_matrix(spc: VeroneseSpace, v: np.ndarray, tol: float = 1e-9) -> HermitianMatrix:
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"homogeneous representative must be unit (got |v| = {norm:.12g})")
-    proj = HermitianMatrix.outer(spc.algebra, v)
-    if spc.algebra.kind == "octonion":
-        drift = (jordan_product(proj, proj) - proj).frobenius_norm()
+def _flat_points(spc: VeroneseSpace, vs: np.ndarray) -> np.ndarray:
+    """Flat coordinates of the centered, rescaled projections of a batch of
+    unit homogeneous vectors, shape (k, m, dim) -> (k, flat_dim)."""
+    alg = spc.algebra
+    bad = [x for x in np.linalg.norm(vs.reshape(len(vs), -1), axis=1) if abs(x - 1.0) > 1e-9]
+    if bad:
+        raise ValueError(f"homogeneous representative must be unit (got |v| = {bad[0]:.12g})")
+    proj = np.einsum("pqk,nip,njq->nijk", alg.table, vs, vs * alg.conj_signs)
+    if alg.kind == "octonion":
+        pairs = np.einsum("nijp,njlq->nilpq", proj, proj).reshape(proj.shape[:3] + (-1,))
+        square = pairs @ alg.table.reshape(-1, alg.dim)  # P P, P o P for P = v v*
+        drift = np.max(np.linalg.norm((square - proj).reshape(len(vs), -1), axis=1))
         if drift > 1e-10:
             raise ValueError(
                 "invalid octonionic representative: entries do not generate "
                 f"an associative subalgebra (idempotency defect {drift:.2e})"
             )
-    return proj
+    proj[:, np.arange(spc.m), np.arange(spc.m), 0] -= 1.0 / spc.m
+    return flatten_entries(proj * (1.0 / SQRT2))
 
 
 def point_from_homogeneous(spc: VeroneseSpace, v) -> np.ndarray:
     """Flat coordinates of the centered, rescaled projection of v."""
-    v = _coerce_vector(spc, v)
-    proj = _projection_matrix(spc, v)
-    centered = proj - HermitianMatrix.identity(spc.algebra, spc.m) * (1.0 / spc.m)
-    return flatten(centered * (1.0 / SQRT2))
+    return _flat_points(spc, _coerce_vector(spc, v)[None])[0]
 
 
 def base_point(spc: VeroneseSpace) -> np.ndarray:
@@ -217,14 +220,10 @@ def sample_points(spc: VeroneseSpace, count: int, rng: np.random.Generator) -> n
 
     Each frame contributes m projections summing to the identity, so the
     centered images of a full frame sum to zero; the returned array holds
-    the first ``count`` points.
+    the first ``count`` points, frame by frame.
     """
-    points = []
-    while len(points) < count:
-        frame = random_frame(spc, rng)
-        for k in range(spc.m):
-            points.append(point_from_homogeneous(spc, frame[k]))
-    return np.asarray(points[:count])
+    frames = [_flat_points(spc, random_frame(spc, rng)) for _ in range(-(-count // spc.m))]
+    return np.reshape(frames, (-1, spc.flat_dim))[:count]
 
 
 # -- closed-form geodesics ---------------------------------------------------
@@ -341,11 +340,7 @@ def _variety_tensors(kind: str, n: int):
     prod = np.einsum("pqk,aijp,bjlq->abilk", alg.table, basis, basis, optimize=True)
     sym = 0.5 * (prod + prod.transpose(1, 0, 2, 3, 4))  # jordan products of basis pairs
 
-    # flatten the (a, b) family of matrices: diag then sqrt(2)-scaled upper entries
-    diag = sym[:, :, np.arange(m), np.arange(m), 0]
-    iu, ju = np.triu_indices(m, k=1)
-    off = SQRT2 * sym[:, :, iu, ju, :].reshape(d, d, -1)
-    q_flat = np.concatenate([diag, off], axis=2)  # (d, d, d)
+    q_flat = flatten_entries(sym)  # (d, d, d): q_flat[a, b] = flat(E_a o E_b)
 
     quad = np.zeros((c_rows, d, d))
     quad[:d] = 2.0 * np.moveaxis(q_flat, 2, 0)
@@ -371,8 +366,14 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
     The constraint is quadratic; its coefficient tensors are precomputed
     once per space, so constraint, Jacobian, and the exact constant
     Hessian are single einsum evaluations.
+
+    The geodesic spray is closed-form: with the flat Jordan product u o v =
+    J v u, J = quad[:D] / 2, the uncentred idempotent P = sqrt(2) y + I/m
+    and w = v o v, II(v, v) = 2 sqrt(2) (w - 2 P o w) = 2 sqrt(2) (1 - 2/m) w
+    - 8 y o w.  Only the integrator uses it; the curvature queries solve.
     """
     quad, linear, const = _variety_tensors(spc.algebra.kind, spc.n)
+    jordan = quad[: spc.flat_dim] / 2.0
 
     def constraint(y: np.ndarray) -> np.ndarray:
         return const + linear @ y + np.einsum("cab,a,b->c", quad, y, y)
@@ -381,7 +382,11 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
         return linear + 2.0 * np.einsum("cab,b->ca", quad, y)
 
     def hessian(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return 2.0 * np.einsum("cab,a,b->c", quad, u, v)
+        return 2.0 * np.einsum("cab,...a,...b->...c", quad, u, v)
+
+    def spray(y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        w = jordan @ v @ v
+        return 2.0 * SQRT2 * (1.0 - 2.0 / spc.m) * w - 8.0 * (jordan @ w @ y)
 
     return ImplicitManifold(
         ambient_dim=spc.flat_dim,
@@ -391,4 +396,5 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
         base_point=base_point(spc),
         intrinsic_dim=spc.intrinsic_dim,
         name=spc.name,
+        spray=spray,
     )

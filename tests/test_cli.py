@@ -128,6 +128,10 @@ def test_verify_all_exit_code_and_side_table(small_config, tmp_path):
     for space in ("RP2", "CP2", "HP2", "OP2"):
         assert f"veronese.normal_curvature_dev.{space} = " in text
         assert f"veronese.mean_curvature_dev.{space} = " in text
+    for space in ("CP2", "HP2", "OP2"):
+        kmin = float(text.split(f"veronese.sectional_min.{space} = ")[1].split()[0])
+        kmax = float(text.split(f"veronese.sectional_max.{space} = ")[1].split()[0])
+        assert 1.0 - 1e-6 <= kmin <= kmax <= 4.0 + 1e-6
     # torus side table is written next to the report
     side = tmp_path / "all.txt.torus_directions.csv"
     assert side.exists()

@@ -1,5 +1,6 @@
 """Implicit-manifold engine: tangent spaces, curvature operators, geodesics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ def sphere_manifold(radius: float, dim: int = 3) -> ImplicitManifold:
         ambient_dim=dim,
         constraint=lambda x: np.array([x @ x - radius**2]),
         jacobian=lambda x: 2.0 * x[None, :],
-        hessian=lambda u, v: np.array([2.0 * (u @ v)]),
+        hessian=lambda u, v: 2.0 * np.sum(u * v, axis=-1)[..., None],
         base_point=base,
     )
 
@@ -40,7 +41,7 @@ def plane_manifold() -> ImplicitManifold:
         ambient_dim=3,
         constraint=lambda x: np.array([x @ normal]),
         jacobian=lambda x: normal[None, :],
-        hessian=lambda u, v: np.zeros(1),
+        hessian=lambda u, v: np.zeros(np.shape(u)[:-1] + (1,)),
         base_point=np.zeros(3),
     )
 
@@ -51,7 +52,7 @@ def cone_manifold() -> ImplicitManifold:
         ambient_dim=3,
         constraint=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - x[2] ** 2]),
         jacobian=lambda x: np.array([[2.0 * x[0], 2.0 * x[1], -2.0 * x[2]]]),
-        hessian=lambda u, v: np.array([2.0 * (u[0] * v[0] + u[1] * v[1] - u[2] * v[2])]),
+        hessian=lambda u, v: 2.0 * np.sum(u * v * [1.0, 1.0, -1.0], axis=-1)[..., None],
         base_point=np.array([1.0, 0.0, 1.0]),
     )
 
@@ -76,6 +77,9 @@ def test_sphere_normal_curvature_and_sectional():
     assert sectional_curvature(var, var.base_point, basis[0], basis[1]) == pytest.approx(
         4.0, abs=1e-10
     )
+    # trace of II over the tangent plane: two principal curvatures 1/r
+    h = mean_curvature_vector(var, var.base_point)
+    assert np.linalg.norm(h) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_plane_curvature_zero():
@@ -364,6 +368,35 @@ def test_rp2_angle_excess_matches_spherical_triangles():
         assert angle_q2 == pytest.approx(predicted(a, b, c), abs=1e-9)
         excess = angle_p0 + angle_q1 + angle_q2 - math.pi
         assert excess > 0.0  # positive curvature
+
+
+# -- closed-form Jordan spray ----------------------------------------------------
+
+VARIETY_SPACES = ["rp1", "cp1", "hp1", "rp2", "cp2", "hp2", "op2", "rp3", "cp3", "hp3"]
+
+
+@pytest.mark.parametrize("name", VARIETY_SPACES)
+def test_spray_matches_least_squares_solve(name):
+    # oracle: the normal-space solve Dc(p) a = -D^2c[v, v] on the variety
+    spc = veronese.space_from_name(name)
+    var = veronese.variety(spc)
+    rng = np.random.default_rng(54)
+    for p in veronese.sample_points(spc, 6, rng):
+        for v in random_tangent(var, p, rng, count=4):
+            oracle = second_fundamental_form(var, p, v, v)
+            assert np.linalg.norm(var.spray(p, v) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_spray_geodesic_matches_least_squares_geodesic():
+    # OP2 has no closed-form circle: the solve-driven integrator is the oracle
+    spc = veronese.space("octonion", 2)
+    var = veronese.variety(spc)
+    rng = np.random.default_rng(55)
+    p0 = veronese.sample_points(spc, 1, rng)[0]
+    state = geodesic_state(var, p0, random_tangent(var, p0, rng))
+    fast = integrate_geodesic(var, state, math.pi, step=1e-2)
+    slow = integrate_geodesic(dataclasses.replace(var, spray=None), state, math.pi, step=1e-2)
+    assert np.max(np.linalg.norm(fast.vertices - slow.vertices, axis=1)) <= 1e-9
 
 
 # -- geodesic integration ------------------------------------------------------

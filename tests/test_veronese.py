@@ -7,7 +7,7 @@ import pytest
 
 from normcurve import veronese
 from normcurve.algebra import OCTONION
-from normcurve.ambient import SQRT2
+from normcurve.ambient import SQRT2, HermitianMatrix, flatten
 from normcurve.veronese import (
     chordal_distance,
     geodesic_circle,
@@ -77,6 +77,10 @@ def test_non_unit_rejected():
     spc = space("real", 2)
     with pytest.raises(ValueError, match="unit"):
         point_from_homogeneous(spc, np.array([[2.0], [0.0], [0.0]]))
+    # inside a batch, behind a valid vector
+    batch = np.array([[[1.0], [0.0], [0.0]], [[2.0], [0.0], [0.0]]])
+    with pytest.raises(ValueError, match="unit"):
+        veronese._flat_points(spc, batch)
 
 
 def test_invalid_octonionic_representative_rejected():
@@ -86,6 +90,8 @@ def test_invalid_octonionic_representative_rejected():
     v /= np.linalg.norm(v)
     with pytest.raises(ValueError, match="octonionic representative"):
         point_from_homogeneous(spc, v)
+    with pytest.raises(ValueError, match="octonionic representative"):
+        veronese._flat_points(spc, np.stack([random_frame(spc, rng)[0], v]))
 
 
 def test_octonionic_chart_accepted():
@@ -116,6 +122,25 @@ def test_sample_points_shape():
     rng = np.random.default_rng(37)
     pts = sample_points(spc, 10, rng)
     assert pts.shape == (10, spc.flat_dim)
+
+
+@pytest.mark.parametrize("name", ["rp1", "cp1", "rp2", "cp2", "hp2", "op2", "hp3"])
+def test_sample_points_match_per_frame_oracle(name):
+    # oracle: each frame vector through HermitianMatrix.outer and flatten
+    spc = space_from_name(name)
+    identity = HermitianMatrix.identity(spc.algebra, spc.m)
+    for count in (2 * spc.m, 2 * spc.m + 1):  # whole frames, then a partial one
+        rng, oracle_rng = np.random.default_rng(56), np.random.default_rng(56)
+        pts = sample_points(spc, count, rng)
+        expected = []
+        while len(expected) < count:
+            for v in random_frame(spc, oracle_rng):
+                proj = HermitianMatrix.outer(spc.algebra, v)
+                expected.append(flatten((proj - identity * (1.0 / spc.m)) * (1.0 / SQRT2)))
+        assert pts.shape == (count, spc.flat_dim)
+        assert np.max(np.abs(pts - np.array(expected[:count]))) <= 1e-15
+        # the same number of frames was drawn
+        assert rng.random() == oracle_rng.random()
 
 
 # -- closed-form geodesics ---------------------------------------------------
