@@ -25,8 +25,9 @@ The module also provides:
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,6 @@ __all__ = [
     "random_convex_arc",
     "random_space_curve",
     "random_closed_curve",
-    "curve_to_csv",
-    "curve_from_csv",
 ]
 
 
@@ -554,27 +553,66 @@ def random_space_curve(
     At each interior vertex the tangent is rotated by the given angle
     toward a random unit normal, which produces arbitrary torsion-like
     twisting while keeping the discrete curvature profile exact.
+
+    Random stream: one ``rng.standard_normal((n_edges, dim))`` block, the
+    initial tangent and then the normals in order.  A row whose normal part
+    is below 1e-12 is skipped for the next; only a redraw past the block's
+    end draws one more ``rng.standard_normal(dim)``.  So ``rng`` is left in
+    the state that one ``(dim,)`` draw per vertex would leave.
     """
-    turning = np.asarray(turning, dtype=float)
-    n_edges = len(turning) + 1
-    t = rng.standard_normal(dim)
-    t /= np.linalg.norm(t)
-    tangents = np.empty((n_edges, dim))
-    tangents[0] = t
-    for i, theta in enumerate(turning):
-        xi = rng.standard_normal(dim)
-        normal = xi - (xi @ t) * t
-        nn = np.linalg.norm(normal)
-        while nn < 1e-12:
-            xi = rng.standard_normal(dim)
-            normal = xi - (xi @ t) * t
-            nn = np.linalg.norm(normal)
-        normal /= nn
-        t = math.cos(theta) * t + math.sin(theta) * normal
-        t /= np.linalg.norm(t)
-        tangents[i + 1] = t
-    vertices = np.vstack([np.zeros(dim), np.cumsum(step * tangents, axis=0)])
+    turning = np.asarray(turning, dtype=float).tolist()
+    rows = iter(rng.standard_normal((len(turning) + 1, dim)).tolist())
+    t = next(rows)
+    norm = math.hypot(*t)
+    tangents = [[x / norm for x in t]]
+    for theta in turning:
+        t = tangents[-1]
+        while True:
+            xi = next(rows, None) or rng.standard_normal(dim).tolist()
+            along = sum(map(operator.mul, xi, t))
+            normal = [x - along * y for x, y in zip(xi, t)]
+            nn = math.hypot(*normal)
+            if nn >= 1e-12:
+                break
+        c, s = math.cos(theta), math.sin(theta) / nn
+        t = [c * x + s * y for x, y in zip(t, normal)]
+        norm = math.hypot(*t)
+        tangents.append([x / norm for x in t])
+    vertices = np.vstack([np.zeros(dim), np.cumsum(step * np.array(tangents), axis=0)])
     return DiscreteCurve(vertices, nominal_step=step)
+
+
+def _harmonic_samples(u: np.ndarray, ks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trig tables (A, B) of the ``order``-th derivative (0, 1 or 2) of a
+    trigonometric loop at parameters ``u``; it samples as
+    ``A @ coef_cos + B @ coef_sin``."""
+    arg = np.outer(u, ks)
+    if order == 0:
+        return np.cos(arg), np.sin(arg)
+    if order == 1:
+        return -np.sin(arg) * ks, np.cos(arg) * ks
+    return -np.cos(arg) * ks**2, -np.sin(arg) * ks**2
+
+
+@functools.lru_cache(maxsize=4)
+def _harmonic_tables(harmonics: int) -> tuple:
+    """Read-only ``(ks, grid, dense1, dense2, probe, grid1)`` for
+    ``random_closed_curve``, built on first use of each ``harmonics``:
+    the first and second derivative tables on the 4096-point ``dense``
+    grid, the curve's tables on the probe ``dense[::16]``, and the first
+    derivative tables on the 16385-point Simpson ``grid``."""
+    ks = np.arange(1, harmonics + 1)
+    dense = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    grid = np.linspace(0.0, 2.0 * math.pi, 2 * 8192 + 1)
+    tables = (
+        _harmonic_samples(dense, ks, 1),
+        _harmonic_samples(dense, ks, 2),
+        _harmonic_samples(dense[::16], ks, 0),
+        _harmonic_samples(grid, ks, 1),
+    )
+    for array in (ks, grid, *(a for pair in tables for a in pair)):
+        array.setflags(write=False)
+    return (ks, grid, *tables)
 
 
 def random_closed_curve(
@@ -590,51 +628,40 @@ def random_closed_curve(
 
     The curve is a random trigonometric loop; draws whose scaled
     curvature would break the equal-edge tolerance at the target step are
-    rejected and redrawn.  Arc length comes from a fine cumulative
-    Simpson rule; equal-arc parameters are found by spline inversion plus
-    Newton refinement, so vertices lie on the smooth curve at equally
-    spaced arc positions up to ~1e-12.
+    rejected and redrawn.  Each draw is sampled on its fixed grids through
+    the cached trig tables of ``_harmonic_tables``.  Arc length comes from
+    a fine cumulative Simpson rule; equal-arc parameters are found by
+    spline inversion plus Newton refinement, so vertices lie on the smooth
+    curve at equally spaced arc positions up to ~1e-12.
     """
     from scipy.interpolate import CubicSpline
 
+    ks, grid, dense1, dense2, probe_tables, grid1 = _harmonic_tables(harmonics)
     for _ in range(max_attempts):
-        ks = np.arange(1, harmonics + 1)
         coef_cos = rng.standard_normal((harmonics, dim)) / ks[:, None] ** 2
         coef_sin = rng.standard_normal((harmonics, dim)) / ks[:, None] ** 2
 
-        def c(u):
-            u = np.atleast_1d(u)
-            arg = np.outer(u, ks)
-            return np.cos(arg) @ coef_cos + np.sin(arg) @ coef_sin
+        def sample(tables):
+            return tables[0] @ coef_cos + tables[1] @ coef_sin
 
-        def c1(u):
-            u = np.atleast_1d(u)
-            arg = np.outer(u, ks)
-            return (-np.sin(arg) * ks) @ coef_cos + (np.cos(arg) * ks) @ coef_sin
-
-        dense = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        d1 = c1(dense)
-        arg = np.outer(dense, ks)
-        d2 = (-np.cos(arg) * ks**2) @ coef_cos + (-np.sin(arg) * ks**2) @ coef_sin
+        d1 = sample(dense1)
         speed = np.linalg.norm(d1, axis=1)
         if speed.min() < 0.25 * speed.mean():
             continue
+        d2 = sample(dense2)
         cross_sq = np.einsum("ij,ij->i", d1, d1) * np.einsum("ij,ij->i", d2, d2) - (
             np.einsum("ij,ij->i", d1, d2)
         ) ** 2
         kappa = np.sqrt(np.maximum(cross_sq, 0.0)) / speed**3
 
-        probe = c(dense[::16])
+        probe = sample(probe_tables)
         radius_est = float(np.max(np.linalg.norm(probe - probe.mean(axis=0), axis=1)))
         if float(kappa.max()) * radius_est > max_curvature:
             continue
 
         # cumulative Simpson arc length on a fine grid, then invert
-        panels = 8192
-        grid = np.linspace(0.0, 2.0 * math.pi, 2 * panels + 1)
-        f = np.linalg.norm(c1(grid), axis=1)
-        du = grid[1] - grid[0]
-        increments = (du / 3.0) * (f[0:-2:2] + 4.0 * f[1::2] + f[2::2])
+        f = np.linalg.norm(sample(grid1), axis=1)
+        increments = ((grid[1] - grid[0]) / 3.0) * (f[0:-2:2] + 4.0 * f[1::2] + f[2::2])
         s_even = np.concatenate([[0.0], np.cumsum(increments)])
         u_even = grid[::2]
         total = float(s_even[-1])
@@ -646,8 +673,9 @@ def random_closed_curve(
         forward = CubicSpline(u_even, s_even)
         u = CubicSpline(s_even, u_even)(targets)
         for _newton in range(2):
-            u = u - (forward(u) - targets) / np.linalg.norm(c1(u), axis=1)
-        vertices = c(u)
+            speed_u = np.linalg.norm(sample(_harmonic_samples(u, ks, 1)), axis=1)
+            u = u - (forward(u) - targets) / speed_u
+        vertices = sample(_harmonic_samples(u, ks, 0))
 
         sub = vertices[:: max(1, n // 800)]
         center = min_enclosing_ball(sub, tol=1e-3).center
@@ -658,34 +686,3 @@ def random_closed_curve(
         except ValueError:
             continue
     raise RuntimeError("failed to draw an acceptable closed curve")
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def curve_to_csv(curve: DiscreteCurve, path) -> None:
-    """One vertex per row; step and closedness recorded in a comment line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# nominal_step={curve.nominal_step!r} closed={int(curve.closed)} "
-            f"edge_tol={curve.edge_tol!r}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(curve.dim)])
-        writer.writerows(curve.vertices.tolist())
-
-
-def curve_from_csv(path) -> DiscreteCurve:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing metadata comment line")
-        meta = dict(item.split("=") for item in header[1:].split())
-        rows = list(csv.reader(fh))
-    vertices = np.array(rows[1:], dtype=float)
-    return DiscreteCurve(
-        vertices,
-        nominal_step=float(meta["nominal_step"]),
-        closed=bool(int(meta["closed"])),
-        edge_tol=float(meta.get("edge_tol", 1e-9)),
-    )

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from normcurve.curves import (
+    _harmonic_tables,
     DiscreteCurve,
     Hyperplane,
     InvalidComparison,
     bow_check,
-    curve_from_csv,
-    curve_to_csv,
     discrete_curvature,
     fary_check,
     fit_circle,
@@ -302,7 +301,7 @@ def test_fary_equality_only_for_great_circles():
             assert planarity_residual(curve.vertices) <= 1e-3
 
 
-# -- circle fitting and serialization ---------------------------------------------
+# -- circle fitting ---------------------------------------------
 
 
 def test_fit_circle_exact():
@@ -316,11 +315,93 @@ def test_fit_circle_exact():
     assert np.allclose(center, [2.0, -1.0, 3.0], atol=1e-12)
 
 
-def test_csv_roundtrip(tmp_path):
-    c = sample_circle_arc(0.5, None, 1e-2, closed=True)
-    path = tmp_path / "curve.csv"
-    curve_to_csv(c, path)
-    back = curve_from_csv(path)
-    assert back.closed == c.closed
-    assert back.nominal_step == pytest.approx(c.nominal_step, rel=1e-15)
-    assert np.max(np.abs(back.vertices - c.vertices)) <= 1e-12
+
+# -- generator fast paths against their oracles -------------------------------------
+
+
+def _reference_space_curve(rng, turning, step, dim=3):
+    """The per-vertex numpy loop ``random_space_curve`` replaced."""
+    turning = np.asarray(turning, dtype=float)
+    t = rng.standard_normal(dim)
+    t /= np.linalg.norm(t)
+    tangents = [t]
+    for theta in turning:
+        xi = rng.standard_normal(dim)
+        normal = xi - (xi @ t) * t
+        nn = np.linalg.norm(normal)
+        while nn < 1e-12:
+            xi = rng.standard_normal(dim)
+            normal = xi - (xi @ t) * t
+            nn = np.linalg.norm(normal)
+        normal /= nn
+        t = math.cos(theta) * t + math.sin(theta) * normal
+        t /= np.linalg.norm(t)
+        tangents.append(t)
+    vertices = np.vstack([np.zeros(dim), np.cumsum(step * np.array(tangents), axis=0)])
+    return DiscreteCurve(vertices, nominal_step=step)
+
+
+class _ScriptedNormals:
+    """Stand-in generator whose ``standard_normal`` serves scripted rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+        self.served = 0
+
+    def standard_normal(self, size):
+        count = size[0] if isinstance(size, tuple) else 1
+        out = self.rows[self.served : self.served + count]
+        self.served += count
+        return out if isinstance(size, tuple) else out[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_space_curve_matches_per_vertex_oracle(dim):
+    h = (math.pi / 2.0) / 157
+    for seed in range(10):
+        turning = random_curvature_profile(np.random.default_rng(100 + seed), 156, high=1.9) * h
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = random_space_curve(fast_rng, turning, h, dim=dim)
+        slow = _reference_space_curve(slow_rng, turning, h, dim=dim)
+        assert np.max(np.abs(fast.vertices - slow.vertices)) <= 1e-14
+        assert np.array_equal(fast_rng.standard_normal(4), slow_rng.standard_normal(4))
+
+
+def test_space_curve_redraw_skips_parallel_row():
+    turning = np.full(5, 0.1)
+    rows = np.random.default_rng(78).standard_normal((8, 3))
+    rows[0] = [1.0, 0.0, 0.0]
+    rows[1] = [3.0, 0.0, 0.0]  # parallel to the initial tangent
+    fast_rng = _ScriptedNormals(rows)
+    fast = random_space_curve(fast_rng, turning, 0.01)
+    assert fast_rng.served == len(turning) + 2  # the block plus one redraw
+    slow_rng = _ScriptedNormals(rows)
+    slow = _reference_space_curve(slow_rng, turning, 0.01)
+    assert slow_rng.served == fast_rng.served
+    assert np.max(np.abs(fast.vertices - slow.vertices)) <= 1e-14
+    without = random_space_curve(_ScriptedNormals(np.delete(rows, 1, axis=0)), turning, 0.01)
+    assert np.array_equal(fast.vertices, without.vertices)
+
+
+def test_closed_curve_tables_cached_and_exact():
+    tables = _harmonic_tables(3)
+    assert _harmonic_tables(3) is tables
+    ks, grid, dense1, dense2, probe, grid1 = tables
+    dense = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    assert np.array_equal(ks, [1, 2, 3])
+    assert np.array_equal(grid, np.linspace(0.0, 2.0 * math.pi, 16385))
+    arg, arg_probe, arg_grid = (np.outer(u, ks) for u in (dense, dense[::16], grid))
+    expected = (
+        (-np.sin(arg) * ks, np.cos(arg) * ks),
+        (-np.cos(arg) * ks**2, -np.sin(arg) * ks**2),
+        (np.cos(arg_probe), np.sin(arg_probe)),
+        (-np.sin(arg_grid) * ks, np.cos(arg_grid) * ks),
+    )
+    for got, want in zip((dense1, dense2, probe, grid1), expected):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+    first = random_closed_curve(np.random.default_rng(79))
+    second = random_closed_curve(np.random.default_rng(79))
+    assert np.array_equal(first.vertices, second.vertices)
+    assert first.nominal_step == second.nominal_step
