@@ -15,7 +15,6 @@ from .algebra import (
     QUATERNION,
     REAL,
     Algebra,
-    AlgebraElement,
     algebra_by_kind,
 )
 from .ambient import (
@@ -66,7 +65,6 @@ from .veronese import (
     base_point,
     chordal_distance,
     geodesic_circle,
-    intrinsic_distance,
     point_from_homogeneous,
     sample_points,
     simplex_circumradius,

@@ -15,22 +15,18 @@ leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "Algebra",
-    "AlgebraElement",
     "REAL",
     "COMPLEX",
     "QUATERNION",
     "OCTONION",
     "ALGEBRAS",
     "algebra_by_kind",
-    "multiply",
-    "conjugate",
 ]
 
 _KIND_DIMS = {"real": 1, "complex": 2, "quaternion": 4, "octonion": 8}
@@ -91,10 +87,6 @@ class Algebra:
     def __repr__(self) -> str:
         return f"Algebra({self.kind!r})"
 
-    @property
-    def is_associative(self) -> bool:
-        return self.dim <= 4
-
     def _coerce(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,):
@@ -120,17 +112,6 @@ class Algebra:
     def real_part(self, x) -> np.ndarray:
         return self._coerce(x)[..., 0]
 
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def one(self) -> np.ndarray:
-        return self.from_real(1.0)
-
-    def from_real(self, r: float) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[0] = float(r)
-        return out
-
     def basis(self, i: int) -> np.ndarray:
         if not 0 <= i < self.dim:
             raise ValueError(f"basis index {i} out of range for {self.kind}")
@@ -141,70 +122,6 @@ class Algebra:
     def random(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         """Standard Gaussian coefficients, shape ``shape + (dim,)``."""
         return rng.standard_normal(tuple(shape) + (self.dim,))
-
-    def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(self, self._coerce(coeffs).copy())
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """A single algebra element: a tag plus a coefficient vector."""
-
-    algebra: Algebra
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", self.algebra._coerce(self.coeffs))
-
-    def _check_tag(self, other: "AlgebraElement") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError(
-                f"algebra mismatch: {self.algebra.kind} vs {other.algebra.kind}"
-            )
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check_tag(other)
-            return AlgebraElement(self.algebra, self.algebra.multiply(self.coeffs, other.coeffs))
-        return AlgebraElement(self.algebra, self.coeffs * float(other))
-
-    def __rmul__(self, other):
-        return AlgebraElement(self.algebra, float(other) * self.coeffs)
-
-    def __add__(self, other: "AlgebraElement"):
-        self._check_tag(other)
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AlgebraElement"):
-        self._check_tag(other)
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, -self.coeffs)
-
-    def conjugate(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.algebra.conjugate(self.coeffs))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    @property
-    def real(self) -> float:
-        return float(self.coeffs[0])
-
-    def allclose(self, other: "AlgebraElement", atol: float = 1e-12) -> bool:
-        self._check_tag(other)
-        return bool(np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=atol))
-
-
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product of two elements of the same algebra."""
-    return x * y
-
-
-def conjugate(x: AlgebraElement) -> AlgebraElement:
-    """Conjugation (negates imaginary coefficients)."""
-    return x.conjugate()
 
 
 REAL = Algebra("real")

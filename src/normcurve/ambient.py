@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraElement
+from .algebra import Algebra
 
 __all__ = [
     "HermitianMatrix",
@@ -40,7 +40,7 @@ class HermitianMatrix:
 
     __slots__ = ("algebra", "m", "entries")
 
-    def __init__(self, algebra: Algebra, entries, validate: bool = True, tol: float = 1e-9):
+    def __init__(self, algebra: Algebra, entries, validate: bool = True):
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 3 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"expected (m, m, dim) entries, got shape {entries.shape}")
@@ -54,10 +54,10 @@ class HermitianMatrix:
             raise ValueError("octonionic Hermitian matrices are limited to size 3")
         if validate:
             conj_t = entries[..., :] * algebra.conj_signs
-            if not np.allclose(entries, np.swapaxes(conj_t, 0, 1), rtol=0.0, atol=tol):
+            if not np.allclose(entries, np.swapaxes(conj_t, 0, 1), rtol=0.0, atol=1e-9):
                 raise ValueError("entries are not conjugate-symmetric")
             diag_imag = entries[np.arange(m), np.arange(m), 1:]
-            if diag_imag.size and np.max(np.abs(diag_imag)) > tol:
+            if diag_imag.size and np.max(np.abs(diag_imag)) > 1e-9:
                 raise ValueError("diagonal entries must be real")
         self.algebra = algebra
         self.m = m
@@ -86,9 +86,6 @@ class HermitianMatrix:
         return cls(algebra, entries, validate=False)
 
     # -- basic structure ---------------------------------------------------
-
-    def entry(self, i: int, j: int) -> AlgebraElement:
-        return AlgebraElement(self.algebra, self.entries[i, j].copy())
 
     def trace(self) -> float:
         m = self.m

@@ -4,10 +4,9 @@ A curve is a polyline whose consecutive vertices are (within tolerance)
 equally spaced by ``nominal_step``; the discrete curvature at an interior
 vertex is the turning angle between the adjacent edges divided by the
 step.  On a circle of radius rho sampled with equal chords of length h
-this estimator returns exactly (2/h) * asin(h / (2 rho)) (see
-``sampled_circle_curvature``), and on equal-arc samples it returns
-exactly 1/rho, so tests can set tolerances analytically; for smooth
-curves it converges at rate O(h^2).
+this estimator returns exactly (2/h) * asin(h / (2 rho)), and on
+equal-arc samples it returns exactly 1/rho, so tests can set tolerances
+analytically; for smooth curves it converges at rate O(h^2).
 
 The module also provides:
 
@@ -42,9 +41,7 @@ __all__ = [
     "FaryReport",
     "discrete_curvature",
     "turning_angles",
-    "sampled_circle_curvature",
     "sample_circle_arc",
-    "sample_circle_chords",
     "straight_segment",
     "reflect_concat",
     "bow_check",
@@ -150,40 +147,14 @@ def discrete_curvature(curve: DiscreteCurve) -> np.ndarray:
     return turning_angles(curve) / curve.nominal_step
 
 
-def sampled_circle_curvature(step: float, radius: float) -> float:
-    """Exact discrete curvature of a circle sampled with equal chords.
-
-    Vertices on a circle of radius ``radius`` spaced by chords of length
-    ``step`` turn by 2*asin(step / (2*radius)) at every vertex, so the
-    discrete estimator reports (2/step)*asin(step/(2*radius)); the bias
-    relative to 1/radius is O(step^2).  Equal-arc sampling instead gives
-    exactly 1/radius.
-    """
-    return 2.0 * math.asin(step / (2.0 * radius)) / step
-
-
-def _plane_embedding(dim: int):
-    basis = np.zeros((2, dim))
-    basis[0, 0] = 1.0
-    basis[1, 1] = 1.0
-    return basis
-
-
 def sample_circle_arc(
-    radius: float,
-    arc_length: float | None,
-    step: float,
-    dim: int = 2,
-    closed: bool = False,
+    radius: float, arc_length: float | None, step: float, closed: bool = False
 ) -> DiscreteCurve:
-    """Circle vertices at equal-arc spacing (chords are O(step^3) short).
+    """Planar circle vertices at equal-arc spacing (chords are O(step^3) short).
 
     ``arc_length`` is ignored for closed circles, where the step is
     adjusted so an integer number of edges closes up exactly.
     """
-    if dim < 2:
-        raise ValueError("need dim >= 2")
-    basis = _plane_embedding(dim)
     if closed:
         total = 2.0 * math.pi * radius
         n = max(3, int(round(total / step)))
@@ -195,20 +166,9 @@ def sample_circle_arc(
         n = max(1, int(round(arc_length / step)))
         h = arc_length / n
         phis = (h / radius) * np.arange(n + 1)
-    pts = radius * (np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1])
+    pts = radius * np.column_stack([np.cos(phis), np.sin(phis)])
     deficit = abs(h - 2.0 * radius * math.sin(h / (2.0 * radius)))
     return DiscreteCurve(pts, nominal_step=h, closed=closed, edge_tol=max(1e-9, 2.0 * deficit))
-
-
-def sample_circle_chords(radius: float, n_edges: int, step: float, dim: int = 2) -> DiscreteCurve:
-    """Open circle polyline whose edges are chords of length exactly ``step``."""
-    if step >= 2.0 * radius:
-        raise ValueError("chord step must be below the diameter")
-    basis = _plane_embedding(dim)
-    phi = 2.0 * math.asin(step / (2.0 * radius))
-    phis = phi * np.arange(n_edges + 1)
-    pts = radius * (np.cos(phis)[:, None] * basis[0] + np.sin(phis)[:, None] * basis[1])
-    return DiscreteCurve(pts, nominal_step=step)
 
 
 def straight_segment(length: float, step: float, dim: int = 2) -> DiscreteCurve:
@@ -247,31 +207,24 @@ class Hyperplane:
         return points - 2.0 * np.outer(np.atleast_1d(sd), self.normal).reshape(points.shape)
 
 
-def reflect_concat(
-    curve: DiscreteCurve,
-    split_index: int,
-    mirror: Hyperplane,
-    angle_tol: float | None = None,
-    position_tol: float = 1e-9,
-) -> DiscreteCurve:
+def reflect_concat(curve: DiscreteCurve, split_index: int, mirror: Hyperplane) -> DiscreteCurve:
     """Reflect the initial arc across ``mirror`` and keep the tail.
 
-    The split vertex must lie on the mirror (within ``position_tol``) and
-    the curve must be tangent to the mirror there; for a polyline the
-    adjacent edges meet a tangent hyperplane at angle O(step * curvature),
-    so ``angle_tol`` defaults to 2 * nominal_step.  Under these conditions
+    The split vertex must lie on the mirror (within 1e-9) and the curve
+    must be tangent to the mirror there; for a polyline the adjacent edges
+    meet a tangent hyperplane at angle O(step * curvature), so the angle
+    tolerance is 2 * nominal_step.  Under these conditions
     turning angles away from the split are exactly preserved (reflection
     is an isometry) and the turning angle at the split does not increase.
     """
     if curve.closed:
         raise InvalidComparison("reflection surgery applies to open curves")
-    if angle_tol is None:
-        angle_tol = 2.0 * curve.nominal_step
+    angle_tol = 2.0 * curve.nominal_step
     n = curve.n_vertices
     if not 0 < split_index < n - 1:
         raise ValueError("split_index must be interior")
     split = curve.vertices[split_index]
-    if abs(mirror.signed_distance(split)) > position_tol:
+    if abs(mirror.signed_distance(split)) > 1e-9:
         raise InvalidComparison("split vertex does not lie on the mirror hyperplane")
     e_in = curve.vertices[split_index] - curve.vertices[split_index - 1]
     e_out = curve.vertices[split_index + 1] - curve.vertices[split_index]
@@ -283,7 +236,7 @@ def reflect_concat(
     return DiscreteCurve(
         new_vertices,
         nominal_step=curve.nominal_step,
-        edge_tol=max(curve.edge_tol, 4.0 * position_tol),
+        edge_tol=max(curve.edge_tol, 4e-9),
     )
 
 
@@ -337,25 +290,19 @@ def _best_rigid_residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum((pb @ rot - pa) ** 2, axis=1))))
 
 
-def bow_check(
-    c1: DiscreteCurve,
-    c2: DiscreteCurve,
-    gap_tol: float = 1e-9,
-    curvature_tol: float = 1e-9,
-    planarity_tol: float = 1e-8,
-    rigidity_tol: float = 1e-7,
-) -> BowReport:
+def bow_check(c1: DiscreteCurve, c2: DiscreteCurve) -> BowReport:
     """Endpoint comparison of a planar convex arc against a less curved curve.
 
     Preconditions (violation raises InvalidComparison, never a failed
     inequality): both curves open with equal step and vertex count; c1
     planar and convex (signed turning angles of one sign, total turning
     at most pi); the discrete curvature of c2 pointwise at most that of
-    c1 plus ``curvature_tol``.
+    c1 plus 1e-9.
 
-    The report states whether gap(c1) <= gap(c2) + gap_tol, and flags
-    rigidity when the gaps agree within tolerance and c2 is congruent to
-    c1 (best orthogonal alignment residual below ``rigidity_tol``).
+    The report states whether gap(c1) <= gap(c2) + 1e-9, and flags
+    rigidity when the gaps agree within 1e-7 and c2 is congruent to c1
+    (best orthogonal alignment residual at most 1e-7).  c1 counts as
+    planar when its ``planarity_residual`` is at most 1e-8.
     """
     if c1.closed or c2.closed:
         raise InvalidComparison("bow comparison is for open arcs")
@@ -366,10 +313,10 @@ def bow_check(
     if c1.n_vertices < 3:
         raise InvalidComparison("need at least 3 vertices")
 
-    if planarity_residual(c1.vertices) > planarity_tol:
+    if planarity_residual(c1.vertices) > 1e-8:
         raise InvalidComparison("reference curve is not planar")
     signed = _signed_plane_turnings(_principal_plane_coords(c1.vertices))
-    angle_tol = curvature_tol * c1.nominal_step + 1e-12
+    angle_tol = 1e-9 * c1.nominal_step + 1e-12
     if not (np.all(signed >= -angle_tol) or np.all(signed <= angle_tol)):
         raise InvalidComparison("reference curve is not convex (mixed turning signs)")
     if float(np.sum(np.abs(signed))) > math.pi + 1e-9:
@@ -377,17 +324,17 @@ def bow_check(
 
     k1 = discrete_curvature(c1)
     k2 = discrete_curvature(c2)
-    if np.any(k2 > k1 + curvature_tol):
+    if np.any(k2 > k1 + 1e-9):
         raise InvalidComparison("comparison curve exceeds the reference curvature")
 
     gap1 = c1.endpoint_gap
     gap2 = c2.endpoint_gap
-    holds = gap1 <= gap2 + gap_tol
+    holds = gap1 <= gap2 + 1e-9
     rigidity = False
     residual = math.inf
-    if abs(gap1 - gap2) <= max(rigidity_tol, gap_tol):
+    if abs(gap1 - gap2) <= 1e-7:
         residual = _best_rigid_residual(c1.vertices, c2.vertices)
-        rigidity = residual <= rigidity_tol
+        rigidity = residual <= 1e-7
     return BowReport(
         endpoint_gap_1=gap1,
         endpoint_gap_2=gap2,
@@ -397,29 +344,21 @@ def bow_check(
     )
 
 
-def monotonicity_check(
-    curve: DiscreteCurve,
-    t0_index: int,
-    curvature_limit: float = 2.0,
-    limit_margin: float = 1e-6,
-    length_tol: float = 1e-9,
-) -> float:
+def monotonicity_check(curve: DiscreteCurve, t0_index: int) -> float:
     """Inner product <y - x, tangent(t0)> for a length-pi/2 curve.
 
-    Requires an open curve of total length pi/2 whose discrete curvature
-    stays below ``curvature_limit - limit_margin``; under that hypothesis
+    Requires an open curve of total length pi/2 (within 1e-9) whose
+    discrete curvature stays below 2 - 1e-6; under that hypothesis
     the returned value is strictly positive (it exceeds the integral of
     cos(2|t - t0|), which is sin(2 t0) >= 0).
     """
     if curve.closed:
         raise InvalidComparison("monotonicity check applies to open curves")
-    if abs(curve.length - math.pi / 2.0) > length_tol:
+    if abs(curve.length - math.pi / 2.0) > 1e-9:
         raise InvalidComparison(f"curve length {curve.length:.12g} is not pi/2")
     kmax = float(np.max(discrete_curvature(curve))) if curve.n_vertices >= 3 else 0.0
-    if kmax >= curvature_limit - limit_margin:
-        raise InvalidComparison(
-            f"max curvature {kmax:.6g} violates the bound {curvature_limit} - {limit_margin}"
-        )
+    if kmax >= 2.0 - 1e-6:
+        raise InvalidComparison(f"max curvature {kmax:.6g} violates the bound 2.0 - 1e-06")
     if not 0 <= t0_index < curve.n_vertices:
         raise ValueError("t0_index out of range")
     t = curve.unit_tangents()
@@ -441,12 +380,12 @@ class FaryReport:
     enclosing_radius: float
 
 
-def fary_check(curve: DiscreteCurve, slack: float = 5e-3, ball_tol: float = 1e-3) -> FaryReport:
+def fary_check(curve: DiscreteCurve) -> FaryReport:
     """Average-curvature bound for a closed curve inside the unit ball.
 
     The average of the discrete curvature over arc length must be at
-    least 1 - ``slack``.  Raises on open curves or curves not contained
-    in the unit ball (up to the enclosing-ball tolerance).
+    least 1 - 5e-3.  Raises on open curves or curves not contained in the
+    unit ball (radius above 1 + 1e-6).
     """
     if not curve.closed:
         raise InvalidComparison("average-curvature bound applies to closed curves")
@@ -459,7 +398,7 @@ def fary_check(curve: DiscreteCurve, slack: float = 5e-3, ball_tol: float = 1e-3
     candidates = [
         np.zeros(curve.dim),
         pts.mean(axis=0),
-        min_enclosing_ball(sub, tol=ball_tol).center,
+        min_enclosing_ball(sub, tol=1e-3).center,
     ]
     radius = min(float(np.max(np.linalg.norm(pts - c, axis=1))) for c in candidates)
     if radius > 1.0 + 1e-6:
@@ -467,7 +406,7 @@ def fary_check(curve: DiscreteCurve, slack: float = 5e-3, ball_tol: float = 1e-3
     average = float(np.sum(turning_angles(curve))) / curve.length
     return FaryReport(
         average_curvature=average,
-        bound_satisfied=bool(average >= 1.0 - slack),
+        bound_satisfied=bool(average >= 1.0 - 5e-3),
         enclosing_radius=radius,
     )
 
@@ -503,10 +442,8 @@ def fit_circle(points) -> tuple[np.ndarray, float, float]:
 # -- randomized generators ---------------------------------------------------
 
 
-def random_curvature_profile(
-    rng: np.random.Generator, n: int, high: float, low: float = 0.0
-) -> np.ndarray:
-    """Smooth random curvature values in [low, high] on n grid points."""
+def random_curvature_profile(rng: np.random.Generator, n: int, high: float) -> np.ndarray:
+    """Smooth random curvature values in [0, high] on n grid points."""
     s = np.linspace(0.0, 1.0, n)
     raw = np.zeros(n)
     for k in range(1, 4):
@@ -516,22 +453,19 @@ def random_curvature_profile(
     raw -= raw.min()
     if raw.max() > 0:
         raw /= raw.max()
-    return low + (high - low) * raw
+    return high * raw
 
 
 def random_convex_arc(
-    rng: np.random.Generator,
-    n_edges: int,
-    step: float,
-    max_curvature: float,
-    turning_cap: float = 0.98 * math.pi,
+    rng: np.random.Generator, n_edges: int, step: float, max_curvature: float
 ) -> DiscreteCurve:
     """Planar convex arc with curvature in (0, max_curvature].
 
     Turning angles are rescaled if needed so the total turning stays
-    below ``turning_cap`` (an arc of a convex curve).
+    below 0.98 pi (an arc of a convex curve).
     """
-    kappa = random_curvature_profile(rng, n_edges - 1, max_curvature, low=0.0)
+    kappa = random_curvature_profile(rng, n_edges - 1, max_curvature)
+    turning_cap = 0.98 * math.pi
     theta = kappa * step
     total = float(np.sum(theta))
     if total > turning_cap:
@@ -594,14 +528,14 @@ def _harmonic_samples(u: np.ndarray, ks: np.ndarray, order: int) -> tuple[np.nda
     return -np.cos(arg) * ks**2, -np.sin(arg) * ks**2
 
 
-@functools.lru_cache(maxsize=4)
-def _harmonic_tables(harmonics: int) -> tuple:
+@functools.cache
+def _harmonic_tables() -> tuple:
     """Read-only ``(ks, grid, dense1, dense2, probe, grid1)`` for
-    ``random_closed_curve``, built on first use of each ``harmonics``:
+    ``random_closed_curve``, built on first use: the harmonics ks = 1, 2, 3,
     the first and second derivative tables on the 4096-point ``dense``
     grid, the curve's tables on the probe ``dense[::16]``, and the first
     derivative tables on the 16385-point Simpson ``grid``."""
-    ks = np.arange(1, harmonics + 1)
+    ks = np.arange(1, 4)
     dense = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     grid = np.linspace(0.0, 2.0 * math.pi, 2 * 8192 + 1)
     tables = (
@@ -616,30 +550,27 @@ def _harmonic_tables(harmonics: int) -> tuple:
 
 
 def random_closed_curve(
-    rng: np.random.Generator,
-    dim: int = 3,
-    harmonics: int = 3,
-    step_target: float = 1e-3,
-    max_curvature: float = 5.5,
-    max_attempts: int = 200,
+    rng: np.random.Generator, dim: int = 3, step_target: float = 1e-3
 ) -> DiscreteCurve:
     """Random smooth closed curve, resampled by arc length and scaled to
     fit exactly inside the unit ball.
 
-    The curve is a random trigonometric loop; draws whose scaled
-    curvature would break the equal-edge tolerance at the target step are
-    rejected and redrawn.  Each draw is sampled on its fixed grids through
-    the cached trig tables of ``_harmonic_tables``.  Arc length comes from
-    a fine cumulative Simpson rule; equal-arc parameters are found by
-    spline inversion plus Newton refinement, so vertices lie on the smooth
-    curve at equally spaced arc positions up to ~1e-12.
+    The curve is a random trigonometric loop of 3 harmonics; draws whose
+    speed dips below a quarter of its mean, or whose curvature times
+    radius exceeds 5.5 (it would break the equal-edge tolerance at the
+    target step), are rejected and redrawn, up to 200 draws.  Each draw
+    is sampled on its fixed grids through the cached trig tables of
+    ``_harmonic_tables``.  Arc length comes from a fine cumulative Simpson
+    rule; equal-arc parameters are found by spline inversion plus Newton
+    refinement, so vertices lie on the smooth curve at equally spaced arc
+    positions up to ~1e-12.
     """
     from scipy.interpolate import CubicSpline
 
-    ks, grid, dense1, dense2, probe_tables, grid1 = _harmonic_tables(harmonics)
-    for _ in range(max_attempts):
-        coef_cos = rng.standard_normal((harmonics, dim)) / ks[:, None] ** 2
-        coef_sin = rng.standard_normal((harmonics, dim)) / ks[:, None] ** 2
+    ks, grid, dense1, dense2, probe_tables, grid1 = _harmonic_tables()
+    for _ in range(200):
+        coef_cos = rng.standard_normal((len(ks), dim)) / ks[:, None] ** 2
+        coef_sin = rng.standard_normal((len(ks), dim)) / ks[:, None] ** 2
 
         def sample(tables):
             return tables[0] @ coef_cos + tables[1] @ coef_sin
@@ -656,7 +587,7 @@ def random_closed_curve(
 
         probe = sample(probe_tables)
         radius_est = float(np.max(np.linalg.norm(probe - probe.mean(axis=0), axis=1)))
-        if float(kappa.max()) * radius_est > max_curvature:
+        if float(kappa.max()) * radius_est > 5.5:
             continue
 
         # cumulative Simpson arc length on a fine grid, then invert

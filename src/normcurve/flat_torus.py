@@ -44,7 +44,6 @@ __all__ = [
     "triangular_family",
     "curvature_bound",
     "load_frequency_file",
-    "save_frequency_file",
 ]
 
 
@@ -245,15 +244,15 @@ def optimize_weights(
     budget: int = 10_000,
     seed: int = 0,
     grid: int = 2048,
-    restarts: int = 4,
 ) -> WeightOptimum:
     """Minimize max_u kappa(u) * R over positive weights for fixed frequencies.
 
     The objective is scale invariant, so the search runs over log weight
-    ratios (J - 1 free parameters) with Nelder-Mead plus seeded restarts
-    from perturbations of the incumbent; ``budget`` caps the number of
-    objective evaluations (each one direction search).  Deterministic for
-    a fixed seed.  Returned weights are normalized to sum w^2 = 1.
+    ratios (J - 1 free parameters) with Nelder-Mead from the start plus 3
+    seeded restarts from perturbations of the incumbent; ``budget`` caps
+    the number of objective evaluations (each one direction search).
+    Deterministic for a fixed seed.  Returned weights are normalized to
+    sum w^2 = 1.
     """
     from scipy.optimize import minimize
 
@@ -288,7 +287,7 @@ def optimize_weights(
 
     x0 = np.log(w0[1:] / w0[0])
     best_x, best_val = x0, objective(x0)
-    for attempt in range(restarts):
+    for attempt in range(4):
         if count >= budget:
             break
         start = best_x if attempt == 0 else best_x + rng.normal(0.0, 0.25, size=j - 1)
@@ -347,6 +346,8 @@ def load_frequency_file(path) -> tuple[np.ndarray, np.ndarray]:
                 )
             freqs.append([int(tok) for tok in parts[0].split(",")])
             weights.append(float(parts[1]))
+            if not math.isfinite(weights[-1]):
+                raise ValueError(f"{path}:{lineno}: weight {parts[1]!r} is not a finite number")
     if not freqs:
         raise ValueError(f"{path}: no frequency lines found")
     lengths = {len(row) for row in freqs}
@@ -354,11 +355,3 @@ def load_frequency_file(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: inconsistent frequency dimensions {sorted(lengths)}")
     return np.asarray(freqs), np.asarray(weights)
 
-
-def save_frequency_file(path, freqs, weights) -> None:
-    freqs = np.atleast_2d(np.asarray(freqs))
-    weights = np.atleast_1d(np.asarray(weights))
-    with open(path, "w") as fh:
-        fh.write("# frequency vector (comma separated)  weight\n")
-        for row, w in zip(freqs, weights):
-            fh.write(",".join(str(int(v)) for v in row) + f" {float(w)!r}\n")

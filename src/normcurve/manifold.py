@@ -24,6 +24,7 @@ always solve, so no claim they measure rests on the formula it would check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -251,10 +252,10 @@ def integrate_geodesic(
     about step^3 * curvature^2 / 24; the returned curve's edge tolerance is
     sized from the measured normal curvature (never below 1e-9).
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if length < 0.0:
-        raise ValueError("length must be nonnegative")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step = {step!r}: expected a positive finite number")
+    if not 0.0 <= length < math.inf:
+        raise ValueError(f"length = {length!r}: expected a nonnegative finite number")
     p = np.asarray(state.position, dtype=float).copy()
     v = np.asarray(state.velocity, dtype=float).copy()
     if length == 0.0:

@@ -52,7 +52,6 @@ __all__ = [
     "sample_points",
     "geodesic_circle",
     "chordal_distance",
-    "intrinsic_distance",
     "simplex_circumradius",
     "variety",
 ]
@@ -264,22 +263,22 @@ class GeodesicCircle:
         return float(np.linalg.norm(self.axis_a))
 
 
-def geodesic_circle(spc: VeroneseSpace, v, w, tol: float = 1e-10) -> GeodesicCircle:
+def geodesic_circle(spc: VeroneseSpace, v, w) -> GeodesicCircle:
     """Closed-form geodesic through the points of v and of cos t v + sin t w.
 
-    Requires v, w orthonormal (unit, Hermitian inner product zero) over an
-    associative algebra; octonionic geodesics come from the integrator on
-    the ``variety`` instead.
+    Requires v, w orthonormal (unit, Hermitian inner product zero, each to
+    1e-10) over an associative algebra; octonionic geodesics come from the
+    integrator on the ``variety`` instead.
     """
     if spc.algebra.kind == "octonion":
         raise ValueError("closed-form circles need an associative algebra; integrate instead")
     v = _coerce_vector(spc, v)
     w = _coerce_vector(spc, w)
     for vec, label in ((v, "v"), (w, "w")):
-        if abs(np.linalg.norm(vec) - 1.0) > tol:
+        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
             raise ValueError(f"{label} must be a unit vector")
     inner = _hermitian_dot(spc.algebra, v, w)
-    if np.max(np.abs(inner)) > tol:
+    if np.max(np.abs(inner)) > 1e-10:
         raise ValueError("v and w must be Hermitian-orthogonal")
     pv = HermitianMatrix.outer(spc.algebra, v)
     pw = HermitianMatrix.outer(spc.algebra, w)
@@ -302,17 +301,6 @@ def chordal_distance(spc: VeroneseSpace, p, q) -> float:
     if p.shape != (spc.flat_dim,) or q.shape != (spc.flat_dim,):
         raise ValueError("points do not match the space's flat dimension")
     return float(np.linalg.norm(p - q))
-
-
-def intrinsic_distance(spc: VeroneseSpace, v, w) -> float:
-    """Geodesic distance arccos |<v, w>| between projective points
-    (associative algebras)."""
-    if not spc.algebra.is_associative:
-        raise ValueError("intrinsic distance from representatives needs associativity")
-    v = _coerce_vector(spc, v)
-    w = _coerce_vector(spc, w)
-    inner = _hermitian_dot(spc.algebra, v, w)
-    return math.acos(min(1.0, float(np.linalg.norm(inner))))
 
 
 def simplex_circumradius(k: int, edge: float) -> float:

@@ -9,8 +9,6 @@ from normcurve.algebra import (
     OCTONION,
     QUATERNION,
     REAL,
-    conjugate,
-    multiply,
 )
 
 
@@ -50,10 +48,10 @@ def test_full_table_matches_pair_oracle(alg):
 
 
 def test_complex_identity_times_i():
-    one = COMPLEX.element([1.0, 0.0])
-    i = COMPLEX.element([0.0, 1.0])
-    assert multiply(one, i).allclose(i)
-    assert multiply(i, i).allclose(COMPLEX.element([-1.0, 0.0]))
+    one = np.array([1.0, 0.0])
+    i = np.array([0.0, 1.0])
+    assert np.array_equal(COMPLEX.multiply(one, i), i)
+    assert np.array_equal(COMPLEX.multiply(i, i), [-1.0, 0.0])
 
 
 def test_quaternion_ij_k():
@@ -103,13 +101,11 @@ def test_associativity_of_the_associative_three(alg):
 
 
 def test_conjugation_real_passthrough():
-    three = REAL.element([3.0])
-    assert conjugate(three).allclose(three)
+    assert np.array_equal(REAL.conjugate([3.0]), [3.0])
 
 
 def test_conjugation_complex():
-    i = COMPLEX.element([0.0, 1.0])
-    assert conjugate(i).allclose(COMPLEX.element([0.0, -1.0]))
+    assert np.array_equal(COMPLEX.conjugate([0.0, 1.0]), [0.0, -1.0])
 
 
 def test_conjugation_involution_and_norm_identity():
@@ -131,22 +127,6 @@ def test_trace_symmetry(alg):
     xy = alg.real_part(alg.multiply(x, y))
     yx = alg.real_part(alg.multiply(y, x))
     assert np.max(np.abs(xy - yx)) <= 1e-12 * max(1.0, np.max(np.abs(xy)))
-
-
-def test_tag_mismatch_rejected():
-    x = COMPLEX.element([1.0, 0.0])
-    y = QUATERNION.element([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="mismatch"):
-        multiply(x, y)
-
-
-def test_element_arithmetic():
-    x = QUATERNION.element([1.0, 2.0, 0.0, -1.0])
-    y = QUATERNION.element([0.5, 0.0, 3.0, 0.0])
-    assert (x + y - y).allclose(x)
-    assert (-x).allclose(x * -1.0)
-    assert (2.0 * x).norm() == pytest.approx(2.0 * x.norm())
-    assert x.real == 1.0
 
 
 def test_bad_coefficient_length_rejected():

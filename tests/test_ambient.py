@@ -135,4 +135,4 @@ def test_trace_and_outer():
     v[1] = [0.0, 0.0, 0.0, 0.0]
     p = HermitianMatrix.outer(QUATERNION, v)
     assert p.trace() == pytest.approx(1.0)
-    assert p.entry(0, 0).real == pytest.approx(1.0)
+    assert p.entries[0, 0, 0] == pytest.approx(1.0)

@@ -9,7 +9,6 @@ from normcurve.cli import (
     Claim,
     VerificationReport,
     check_circle_geodesics,
-    dump_geodesic,
     load_config,
     main,
     render_report,
@@ -217,6 +216,17 @@ def test_dump_geodesic(tmp_path):
     assert np.linalg.norm(first) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("flag", ["--length", "--step"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_dump_geodesic_nonfinite_length_or_step(tmp_path, capsys, flag, value):
+    out = tmp_path / "geo.csv"
+    assert main(["dump-geodesic", "rp2", flag, value, "--out", str(out)]) == 2
+    need = "a positive" if flag == "--step" else "a nonnegative"
+    err = capsys.readouterr().err
+    assert err == f"error: {flag[2:]} = {value}: expected {need} finite number\n"
+    assert not out.exists()
+
+
 def test_dump_geodesic_bad_space(tmp_path):
     assert main(["dump-geodesic", "xp9", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -254,6 +264,15 @@ def test_torus_optimize_failing_claim_exits_one(monkeypatch, tmp_path):
     out = tmp_path / "torus.txt"
     assert main(["torus", "optimize", "--freqs", str(freqs), "--out", str(out)]) == 1
     assert "pass = no" in out.read_text()
+
+
+def test_torus_optimize_nonfinite_weight(tmp_path, capsys):
+    freqs = tmp_path / "freqs.txt"
+    freqs.write_text("1,0 1.0\n0,1 nan\n1,1 1.0\n")
+    out = tmp_path / "torus.txt"
+    assert main(["torus", "optimize", "--freqs", str(freqs), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {freqs}:2: weight 'nan' is not a finite number\n"
+    assert not out.exists()
 
 
 def test_torus_optimize_missing_file(tmp_path):

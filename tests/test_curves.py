@@ -22,8 +22,6 @@ from normcurve.curves import (
     random_space_curve,
     reflect_concat,
     sample_circle_arc,
-    sample_circle_chords,
-    sampled_circle_curvature,
     straight_segment,
     turning_angles,
 )
@@ -47,9 +45,12 @@ def test_circle_curvature_arc_sampling():
 
 
 def test_circle_curvature_chord_sampling_matches_formula():
-    c = sample_circle_chords(0.5, 200, 1e-3)
+    # 201 vertices on a circle of radius 0.5, consecutive chords exactly h long
+    radius, h = 0.5, 1e-3
+    phis = 2.0 * math.asin(h / (2.0 * radius)) * np.arange(201)
+    c = DiscreteCurve(radius * np.column_stack([np.cos(phis), np.sin(phis)]), nominal_step=h)
     k = discrete_curvature(c)
-    expected = sampled_circle_curvature(1e-3, 0.5)
+    expected = (2.0 / h) * math.asin(h / (2.0 * radius))
     assert np.max(np.abs(k - expected)) <= 1e-9
 
 
@@ -384,8 +385,8 @@ def test_space_curve_redraw_skips_parallel_row():
 
 
 def test_closed_curve_tables_cached_and_exact():
-    tables = _harmonic_tables(3)
-    assert _harmonic_tables(3) is tables
+    tables = _harmonic_tables()
+    assert _harmonic_tables() is tables
     ks, grid, dense1, dense2, probe, grid1 = tables
     dense = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     assert np.array_equal(ks, [1, 2, 3])

@@ -14,7 +14,6 @@ from normcurve.flat_torus import (
     load_frequency_file,
     optimize_weights,
     product_family,
-    save_frequency_file,
     torus_normal_curvature,
     torus_worst_direction,
     triangular_family,
@@ -255,12 +254,10 @@ def test_consistency_with_discrete_curve_machinery():
 
 def test_frequency_file_roundtrip(tmp_path):
     path = tmp_path / "freqs.txt"
-    freqs = triangular_family(2)
-    weights = np.array([1.0, 0.5, 0.25])
-    save_frequency_file(path, freqs, weights)
+    path.write_text("# frequency vector  weight\n1,0 1.0\n0,1 0.5  # comment\n\n1,1 0.25\n")
     back_f, back_w = load_frequency_file(path)
-    assert np.array_equal(back_f, freqs)
-    assert np.allclose(back_w, weights, rtol=0.0, atol=0.0)
+    assert np.array_equal(back_f, triangular_family(2))
+    assert np.array_equal(back_w, [1.0, 0.5, 0.25])
     with pytest.raises(ValueError, match="expected"):
         bad = tmp_path / "bad.txt"
         bad.write_text("1,0 1.0 extra\n")
@@ -269,3 +266,12 @@ def test_frequency_file_roundtrip(tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("# nothing\n")
         load_frequency_file(empty)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_frequency_file_rejects_nonfinite_weight(tmp_path, weight):
+    path = tmp_path / "freqs.txt"
+    path.write_text(f"1,0 1.0\n0,1 {weight}\n1,1 1.0\n")
+    with pytest.raises(ValueError) as info:
+        load_frequency_file(path)
+    assert str(info.value) == f"{path}:2: weight {weight!r} is not a finite number"
