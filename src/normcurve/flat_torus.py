@@ -190,11 +190,12 @@ def _newton_ascent(torus: TorusEmbedding, u: np.ndarray, vals: np.ndarray) -> tu
 
 
 def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionSearch:
-    """Global maximum of kappa(u) * R over directions (n <= 3).
+    """Largest kappa(u) * R over directions (n <= 3).
 
     Exact at n = 2, from the roots of a polynomial; ``grid`` is not read.
     At n = 3, a Fibonacci grid of ``grid`` directions, then a batched Newton
-    ascent from its 4 best points.
+    ascent from its 4 best points: a local maximum, so a lower bound on the
+    global one, which a coarse grid can miss.
     """
     n = torus.n
     if n == 1:
@@ -344,8 +345,11 @@ def load_frequency_file(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'k1,...,kn weight', got {line.strip()!r}"
                 )
-            freqs.append([int(tok) for tok in parts[0].split(",")])
-            weights.append(float(parts[1]))
+            try:
+                freqs.append([int(tok) for tok in parts[0].split(",")])
+                weights.append(float(parts[1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not math.isfinite(weights[-1]):
                 raise ValueError(f"{path}:{lineno}: weight {parts[1]!r} is not a finite number")
     if not freqs:

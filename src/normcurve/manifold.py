@@ -6,7 +6,8 @@ relative cut: a singular value of the Jacobian at most ``RANK_TOL`` times
 the largest counts as zero.  Tangent spaces are the null space of a full
 SVD of the Jacobian; every normal-space solve is one least-squares call
 (LAPACK gelsd) with the same cut, whose minimum-norm solution lies in the
-row space of the Jacobian.
+row space of the Jacobian.  The curvature queries broadcast over stacked
+tangent vectors, so all directions at one point share one solve.
 
 For the quadratic varieties used in this package the constraint Hessian
 is exact and constant, so the second fundamental form
@@ -154,18 +155,25 @@ def tangent_basis(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
 def second_fundamental_form(
     manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Normal-space value II(u, v) for tangent vectors u, v at p."""
-    rhs = -manifold.hessian(np.asarray(u, float), np.asarray(v, float))
-    return _solve(manifold, manifold.jacobian(np.asarray(p, dtype=float)), rhs)
+    """II(u, v) for tangent vectors u, v at p, broadcast over leading axes: one solve."""
+    hess = manifold.hessian(np.asarray(u, float), np.asarray(v, float))
+    rhs = -hess.reshape(-1, hess.shape[-1]).T
+    w = _solve(manifold, manifold.jacobian(np.asarray(p, dtype=float)), rhs)
+    return w.T.reshape(hess.shape[:-1] + (manifold.ambient_dim,))
 
 
-def normal_curvature(manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray) -> float:
-    """|II(u, u)| for a unit tangent direction u."""
+def _check_unit(vectors: np.ndarray, message: str) -> None:
+    speed = np.linalg.norm(vectors, axis=-1)
+    bad = np.abs(speed - 1.0) > 1e-9
+    if np.any(bad):
+        raise ValueError(message.format(speed[bad].flat[0]))
+
+
+def normal_curvature(manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """|II(u, u)| for unit tangent directions u, stacked along leading axes."""
     u = np.asarray(u, dtype=float)
-    speed = np.linalg.norm(u)
-    if abs(speed - 1.0) > 1e-9:
-        raise ValueError(f"direction must be unit (got |u| = {speed:.12g})")
-    return float(np.linalg.norm(second_fundamental_form(manifold, p, u, u)))
+    _check_unit(u, "direction must be unit (got |u| = {:.12g})")
+    return np.linalg.norm(second_fundamental_form(manifold, p, u, u), axis=-1)
 
 
 def mean_curvature_vector(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
@@ -177,22 +185,21 @@ def mean_curvature_vector(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarr
 
 def sectional_curvature(
     manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> float:
+) -> np.ndarray:
     """Gauss-equation curvature <II(u,u), II(v,v)> - |II(u,v)|^2.
 
-    Requires u, v orthonormal and tangent; the ambient space is flat, so
-    this is the intrinsic sectional curvature of the plane span(u, v).
+    Requires each pair u, v orthonormal and tangent; pairs stack along
+    leading axes and share one solve.  The ambient space is flat, so this is
+    the intrinsic sectional curvature of the plane span(u, v).
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9 or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError("u and v must be unit vectors")
-    if abs(float(u @ v)) > 1e-9:
+    _check_unit(np.stack([u, v]), "u and v must be unit vectors")
+    if np.any(np.abs(np.einsum("...i,...i->...", u, v)) > 1e-9):
         raise ValueError("u and v must be orthogonal")
-    hess = manifold.hessian
-    rhs = -np.stack([hess(u, u), hess(v, v), hess(u, v)], axis=1)
-    ii_uu, ii_vv, ii_uv = _solve(manifold, manifold.jacobian(np.asarray(p, float)), rhs).T
-    return float(ii_uu @ ii_vv - ii_uv @ ii_uv)
+    ii = second_fundamental_form(manifold, p, np.stack([u, v, u], -2), np.stack([u, v, v], -2))
+    ii_uu, ii_vv, ii_uv = np.moveaxis(ii, -2, 0)
+    return np.einsum("...i,...i->...", ii_uu, ii_vv) - np.einsum("...i,...i->...", ii_uv, ii_uv)
 
 
 def project_point(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:

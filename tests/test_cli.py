@@ -1,14 +1,18 @@
 """CLI driver: suites, reports, exit codes, determinism, dumps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from normcurve import manifold, veronese
 from normcurve.cli import (
     Claim,
     VerificationReport,
     check_circle_geodesics,
+    check_normal_curvature,
+    check_sectional_curvature,
     load_config,
     main,
     render_report,
@@ -197,6 +201,80 @@ def test_failing_claim_exits_one(monkeypatch, small_config):
     assert main(["verify", "rigidity", "--config", small_config]) == 1
 
 
+def _sectional_per_sample(samples: int, seed: int) -> dict:
+    # oracle: one plane and one single-pair sectional_curvature call at a
+    # time, drawing from the rng in the engine's order
+    rng = np.random.default_rng([seed, 6])
+
+    def random_plane(basis):
+        pair = rng.standard_normal((2, len(basis))) @ basis
+        q, _ = np.linalg.qr(pair.T)
+        return q[:, 0], q[:, 1]
+
+    var = veronese.variety(veronese.space("real", 2))
+    rp2_dev = 0.0
+    for p in veronese.sample_points(veronese.space("real", 2), 100, rng):
+        u, v = random_plane(manifold.tangent_basis(var, p))
+        rp2_dev = max(rp2_dev, abs(manifold.sectional_curvature(var, p, u, v) - 1.0))
+    ranges = {}
+    for spc in veronese.standard_planes()[1:]:
+        var = veronese.variety(spc)
+        pts = veronese.sample_points(spc, max(1, samples // 40), rng)
+        bases = [manifold.tangent_basis(var, p) for p in pts]
+        ks = []
+        for done in range(samples):
+            u, v = random_plane(bases[done % len(pts)])
+            ks.append(manifold.sectional_curvature(var, pts[done % len(pts)], u, v))
+        ranges[spc.name] = (min(ks), max(ks))
+    return {"rp2_max_dev": rp2_dev, "ranges": ranges}
+
+
+@pytest.mark.parametrize("samples,seed", [(1, 0), (60, 0), (130, 1)])
+def test_sectional_ranges_match_per_sample_loop(samples, seed):
+    fast = check_sectional_curvature(samples=samples, seed=seed)
+    slow = _sectional_per_sample(samples, seed)
+    assert abs(fast["rp2_max_dev"] - slow["rp2_max_dev"]) <= 1e-12
+    assert fast["ranges"].keys() == slow["ranges"].keys()
+    for name, (kmin, kmax) in slow["ranges"].items():
+        assert fast["ranges"][name] == pytest.approx((kmin, kmax), abs=1e-12, rel=0)
+    assert fast["lower_violation"] == max(0.0, *(1.0 - lo for lo, _ in fast["ranges"].values()))
+    assert fast["upper_violation"] == max(0.0, *(hi - 4.0 for _, hi in fast["ranges"].values()))
+
+
+def test_curvature_engines_solve_once_per_point(monkeypatch):
+    calls = []
+    real = manifold._solve
+
+    def counted(var, jac, rhs, **kwargs):
+        calls.append(rhs.shape)
+        return real(var, jac, rhs, **kwargs)
+
+    monkeypatch.setattr(manifold, "_solve", counted)
+    # 60 directions: 3 points per plane, taking 25, 25 and 10 directions
+    check_normal_curvature(directions=60, seed=0)
+    assert [shape[1] for shape in calls] == [25, 25, 10] * 4
+    calls.clear()
+    # 100 RP2 points with one plane each, then 130 // 40 = 3 points per plane
+    # carrying 44, 43 and 43 planes, three right-hand sides per plane
+    check_sectional_curvature(samples=130, seed=0)
+    assert [shape[1] for shape in calls] == [3] * 100 + [3 * 44, 3 * 43, 3 * 43] * 3
+
+
+def test_curvature_engines_never_use_the_spray(monkeypatch):
+    expected = (check_normal_curvature(60, 0), check_sectional_curvature(60, 0))
+    real = veronese.variety
+
+    def no_spray(p, v):
+        raise AssertionError("a curvature claim used the closed-form spray")
+
+    def variety(spc):
+        return dataclasses.replace(real(spc), spray=no_spray)
+
+    monkeypatch.setattr(veronese, "variety", variety)
+    assert (check_normal_curvature(60, 0), check_sectional_curvature(60, 0)) == expected
+    assert expected[0]["max_deviation"] <= 1e-8 and expected[1]["rp2_max_dev"] <= 1e-6
+
+
 def test_circle_geodesics_coarse_step():
     # at step 0.25 a length-pi geodesic has fewer than 16 vertices
     out = check_circle_geodesics(step=0.25, seed=0)
@@ -224,6 +302,22 @@ def test_dump_geodesic_nonfinite_length_or_step(tmp_path, capsys, flag, value):
     need = "a positive" if flag == "--step" else "a nonnegative"
     err = capsys.readouterr().err
     assert err == f"error: {flag[2:]} = {value}: expected {need} finite number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "message", ["Unable to allocate 447. GiB for an array", ""], ids=["numpy", "bare"]
+)
+def test_dump_geodesic_out_of_memory_exits_two(monkeypatch, tmp_path, capsys, message):
+    # a stand-in for the allocation of a length-1e4, step-1e-6 geodesic
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(manifold, "integrate_geodesic", too_large)
+    out = tmp_path / "geo.csv"
+    argv = ["dump-geodesic", "rp2", "--length", "1e4", "--step", "1e-6", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
     assert not out.exists()
 
 
@@ -272,6 +366,22 @@ def test_torus_optimize_nonfinite_weight(tmp_path, capsys):
     out = tmp_path / "torus.txt"
     assert main(["torus", "optimize", "--freqs", str(freqs), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {freqs}:2: weight 'nan' is not a finite number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line,detail",
+    [
+        ("1,x 1.0", "invalid literal for int() with base 10: 'x'"),
+        ("0,1 abc", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_torus_optimize_bad_token_names_its_line(tmp_path, capsys, line, detail):
+    freqs = tmp_path / "freqs.txt"
+    freqs.write_text(f"1,0 1.0\n{line}\n1,1 1.0\n")
+    out = tmp_path / "torus.txt"
+    assert main(["torus", "optimize", "--freqs", str(freqs), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {freqs}:2: {detail}\n"
     assert not out.exists()
 
 

@@ -212,6 +212,65 @@ def test_mean_curvature_spot(spc):
         assert abs(np.linalg.norm(h) - target) <= 1e-8
 
 
+# -- batched curvature queries ---------------------------------------------------
+
+VARIETY_SPACES = ["rp1", "cp1", "hp1", "rp2", "cp2", "hp2", "op2", "rp3", "cp3", "hp3"]
+
+
+def _batch_case(name):
+    if name == "sphere":
+        var = sphere_manifold(0.5)
+    elif name == "cone":
+        var = cone_manifold()
+    else:
+        var = veronese.variety(veronese.space_from_name(name))
+    return var, project_point(var, var.base_point + 0.1)
+
+
+@pytest.mark.parametrize("name", VARIETY_SPACES + ["sphere", "cone"])
+def test_batched_curvature_rows_match_single_calls(name):
+    var, p = _batch_case(name)
+    rng = np.random.default_rng(56)
+    u = random_tangent(var, p, rng, count=6)
+    w = random_tangent(var, p, rng, count=6)
+    batch = second_fundamental_form(var, p, u.reshape(2, 3, -1), w.reshape(2, 3, -1))
+    single = np.array([second_fundamental_form(var, p, a, b) for a, b in zip(u, w)])
+    assert batch.shape == (2, 3, var.ambient_dim)
+    assert np.max(np.abs(batch.reshape(6, -1) - single)) <= 1e-13 * np.max(np.abs(single))
+    kappa = normal_curvature(var, p, u)
+    single = np.array([normal_curvature(var, p, a) for a in u])
+    assert kappa.shape == (6,) and np.ndim(single[0]) == 0
+    assert np.max(np.abs(kappa - single)) <= 1e-13 * np.max(single)
+    if var.intrinsic_dim < 2:
+        return
+    q, _ = np.linalg.qr(np.stack([u, w], axis=2))  # six orthonormal pairs
+    k = sectional_curvature(var, p, q[..., 0], q[..., 1])
+    single = np.array([sectional_curvature(var, p, a, b) for a, b in zip(q[..., 0], q[..., 1])])
+    # the Gauss equation subtracts terms of size kappa^2, so errors scale with it
+    assert np.max(np.abs(k - single)) <= 1e-13 * np.max(kappa) ** 2
+
+
+def test_batch_with_one_bad_row_rejected():
+    var = sphere_manifold(0.5)
+    p = var.base_point
+    e1, e2 = tangent_basis(var, p)
+    u = np.array([e1, e2, e1])
+    v = np.array([e2, e1, e2])
+    assert np.allclose(sectional_curvature(var, p, u, v), 4.0)
+    long = u.copy()
+    long[1] *= 1.5
+    with pytest.raises(ValueError, match=r"direction must be unit \(got \|u\| = 1\.5\)"):
+        normal_curvature(var, p, long)
+    with pytest.raises(ValueError, match="u and v must be unit vectors"):
+        sectional_curvature(var, p, long, v)
+    with pytest.raises(ValueError, match="u and v must be unit vectors"):
+        sectional_curvature(var, p, u, long[::-1])
+    skew = v.copy()
+    skew[2] = (e1 + e2) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="u and v must be orthogonal"):
+        sectional_curvature(var, p, u, skew)
+
+
 # -- sectional curvature -------------------------------------------------------
 
 
@@ -371,8 +430,6 @@ def test_rp2_angle_excess_matches_spherical_triangles():
 
 
 # -- closed-form Jordan spray ----------------------------------------------------
-
-VARIETY_SPACES = ["rp1", "cp1", "hp1", "rp2", "cp2", "hp2", "op2", "rp3", "cp3", "hp3"]
 
 
 @pytest.mark.parametrize("name", VARIETY_SPACES)
