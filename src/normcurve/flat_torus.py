@@ -21,8 +21,10 @@ sqrt(3 n / (n + 2)) over all families and directions; the triangular
 family {e_1, e_2, e_1 + e_2} with equal weights attains the bound at
 n = 2 with direction-independent curvature.  ``torus_worst_direction`` is
 exact at n = 2 (polynomial roots); at n = 3 it is a grid plus Newton
-ascent.  ``optimize_weights`` runs a derivative-free minimax descent over
-the weights for a fixed family.
+ascent.  ``optimize_weights`` minimizes the worst value over the weights
+of a fixed family: by the exchange method at n = 2, a master problem over
+an active set of directions that each exact search extends, and by
+Nelder-Mead over the search's lower bound at n = 3.
 """
 
 from __future__ import annotations
@@ -192,25 +194,39 @@ def _newton_ascent(torus: TorusEmbedding, u: np.ndarray, vals: np.ndarray) -> tu
 def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionSearch:
     """Largest kappa(u) * R over directions (n <= 3).
 
-    Exact at n = 2, from the roots of a polynomial; ``grid`` is not read.
+    Exact at n = 2, from the roots of a polynomial in metric-whitened
+    coordinates, so also near a degenerate metric; ``grid`` is not read.
     At n = 3, a Fibonacci grid of ``grid`` directions, then a batched Newton
     ascent from its 4 best points: a local maximum, so a lower bound on the
-    global one, which a coarse grid can miss.
+    global one, which a coarse grid can miss.  With a near-zero weight the
+    global peak is a narrow spike: the family [[-2, 1, -2], [1, -1, 0],
+    [2, 2, 0]] with weights (1e-4, 1, 1) gives 1.41423 at grid 1024, while
+    a 400k-point grid followed by the same ascent gives 14142.1.
     """
     n = torus.n
     if n == 1:
         dirs = np.ones((1, 1))
+        points, vals = 1, curvature_radius_products(torus, dirs)
     elif n == 2:
-        # along (1, t), kappa * R = R sqrt(p(t)) / q(t) with q(t) = (1, t) G (1, t)^T
-        # and p(t) = sum_j w_j^2 (a_j + b_j t)^4, both highest power first.  The
-        # stationary points are the roots of p'q - 2pq', which is 0 for constant kappa.
-        m = np.arange(5)
-        a, b = torus.freqs[:, :1], torus.freqs[:, 1:]
-        p = torus.weights**2 @ (np.array([1.0, 4.0, 6.0, 4.0, 1.0]) * a**m * b ** (4 - m))
-        q = np.array([1.0, 2.0, 1.0]) * torus.metric.ravel()[[3, 1, 0]]
-        crit = np.polysub(np.polymul(np.polyder(p), q), 2.0 * np.polymul(p, np.polyder(q)))
+        # whitened: with diag(w) K = Q R (thin QR), u = R^-1 v has u^T G u = |v|^2 and
+        # w_j <k_j, u> = <q_j, v> for the rows q_j of Q, so on |v| = 1, (kappa R)^2 / R^2
+        # is F(v) = sum_j <q_j, v>^4 / w_j^2.  No metric is formed, so F and its peaks stay
+        # accurate when G is near-singular.  With v = (cos phi, sin phi), z_j = q_j1 - i q_j2,
+        # F = A0 + Re(A2 e^(2 i phi) + A4 e^(4 i phi)) with A2 = sum |z|^2 z^2 / 2 w^2 = a + ib
+        # and A4 = sum z^4 / 8 w^2 = c + id.  In t = tan(phi), dF/dphi = 0 is the quartic
+        # below, highest power first, which is 0 for constant kappa; phi = pi/2 is its root
+        # at infinity.
+        w2 = torus.weights**2
+        q_rows, r = np.linalg.qr(torus.weights[:, None] * torus.freqs)
+        z = q_rows[:, 0] - 1j * q_rows[:, 1]
+        a2, a4 = np.sum(np.abs(z) ** 2 * z**2 / w2) / 2.0, np.sum(z**4 / w2) / 8.0
+        a, b, c, d = a2.real, a2.imag, a4.real, a4.imag
+        crit = [2.0 * d - b, 2.0 * a - 8.0 * c, -12.0 * d, 2.0 * a + 8.0 * c, b + 2.0 * d]
         phis = np.append(np.arctan(np.roots(crit).real), [0.0, 0.5 * math.pi])
-        dirs = np.column_stack([np.cos(phis), np.sin(phis)])
+        v = np.column_stack([np.cos(phis), np.sin(phis)])
+        points, vals = len(v), np.sqrt((v @ q_rows.T) ** 4 @ (1.0 / w2) * w2.sum())
+        u1 = v[:, 1] / r[1, 1]  # u = R^-1 v by back substitution
+        dirs = np.column_stack([(v[:, 0] - r[0, 1] * u1) / r[0, 0], u1])
     elif n == 3:
         if grid < 1:
             raise ValueError(f"grid must be at least 1, got {grid}")
@@ -221,8 +237,6 @@ def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionS
         points = grid
     else:
         raise ValueError("direction search is implemented for n <= 3")
-    if n < 3:
-        points, vals = len(dirs), curvature_radius_products(torus, dirs)
     best = int(np.argmax(vals))
     return DirectionSearch(torus.unit_direction(dirs[best]), float(vals[best]), points)
 
@@ -248,18 +262,141 @@ def optimize_weights(
 ) -> WeightOptimum:
     """Minimize max_u kappa(u) * R over positive weights for fixed frequencies.
 
-    The objective is scale invariant, so the search runs over log weight
-    ratios (J - 1 free parameters) with Nelder-Mead from the start plus 3
-    seeded restarts from perturbations of the incumbent; ``budget`` caps
-    the number of objective evaluations (each one direction search).
-    Deterministic for a fixed seed.  Returned weights are normalized to
-    sum w^2 = 1.
+    ``budget`` caps the direction searches, which ``evaluations`` counts.
+    At n = 2, where the search is exact, this is the exchange method
+    (``_exchange``); ``seed`` and ``grid`` are not read.  At n = 3 the
+    search is only a local lower bound, whose blind spots an exchange
+    would exploit (see ``torus_worst_direction``), so it is Nelder-Mead
+    (``_nelder_mead``), deterministic for a fixed seed.  Returns the best
+    family evaluated, normalized to sum w^2 = 1, with a monotone
+    ``history`` of (evaluation, value) at each improvement.
     """
-    from scipy.optimize import minimize
-
     freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
     w0 = np.atleast_1d(np.asarray(initial_weights, dtype=float))
     TorusEmbedding(freqs, w0)  # validates feasibility of the start
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if len(w0) == 1:
+        value = torus_worst_direction(TorusEmbedding(freqs, np.ones(1))).value
+        return WeightOptimum(np.ones(1), value, 1, [(1, value)], True, "single frequency")
+    if freqs.shape[1] == 2:
+        return _exchange(freqs, w0, budget)
+    return _nelder_mead(freqs, w0, budget, seed, grid)
+
+
+# default lower bound of log w^2 in the master's box, which keeps exp(y) far from
+# underflow.  It does not keep the metric nondegenerate: for [[1, 0], [7, 1]] the
+# metric at y = (-20, 0) fails TorusEmbedding's check, so ``_exchange`` checks
+# every step itself.
+_LOG_FLOOR = -20.0
+
+
+def _nondegenerate(freqs: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the weights w^2 = e^y pass TorusEmbedding's metric check."""
+    try:
+        TorusEmbedding(freqs, np.exp(0.5 * y))
+    except ValueError:
+        return False
+    return True
+
+
+def _log_envelope(s2: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """2 log(kappa R) at weights w^2 = e^y along each direction whose squared
+    slopes <k_j, u>^2 are the rows of ``s2``: log P - 2 log Q + log sum w^2."""
+    x = np.exp(y)
+    return np.log(s2**2 @ x) - 2.0 * np.log(s2 @ x) + math.log(x.sum())
+
+
+def _exchange_master(
+    freqs: np.ndarray, active: np.ndarray, y: np.ndarray, floor: float
+) -> tuple:
+    """min t subject to t >= 2 log(kappa R)(u) at every active u, over
+    y in [floor, 0]^J, by SLSQP from y.  Returns the new y, the
+    envelope's maximum there, and SLSQP's success flag and message."""
+    from scipy.optimize import minimize
+
+    s2 = (active @ freqs.T) ** 2
+    s4 = s2**2
+    e_t = np.eye(len(y) + 1)[-1]  # z = (y, t)
+
+    def slack(z: np.ndarray) -> np.ndarray:
+        return z[-1] - _log_envelope(s2, z[:-1])
+
+    def slack_jac(z: np.ndarray) -> np.ndarray:
+        x = np.exp(z[:-1])
+        grad = x * (s4 / (s4 @ x)[:, None] - 2.0 * s2 / (s2 @ x)[:, None] + 1.0 / x.sum())
+        return np.column_stack([-grad, np.ones(len(s2))])
+
+    res = minimize(
+        lambda z: z[-1],
+        np.append(y, _log_envelope(s2, y).max()),
+        jac=lambda z: e_t,
+        method="SLSQP",
+        bounds=[(floor, 0.0)] * len(y) + [(None, None)],
+        constraints={"type": "ineq", "fun": slack, "jac": slack_jac},
+        options={"ftol": 1e-15},  # a loose master stops short, and the gap test accepts it
+    )
+    y_new = np.clip(res.x[:-1], floor, 0.0)
+    return y_new, float(_log_envelope(s2, y_new).max()), bool(res.success), str(res.message)
+
+
+def _exchange(freqs: np.ndarray, w0: np.ndarray, budget: int) -> WeightOptimum:
+    """Semi-infinite exchange method (Hettich & Kortanek, SIAM Review 35(3),
+    1993) for the n = 2 minimax over x = w^2 = e^y.
+
+    Each round searches the current weights once, adds the worst direction
+    to an active set seeded with the unit frequency vectors and the axes,
+    and solves the master problem over that set (``_exchange_master``).
+    It stops when a search finds nothing above the master's value t, to
+    1e-10 in 2 log(kappa R), after a master that reported success: a
+    master that returns its start closes that gap trivially.  The master is
+    nonconvex, so t is a local optimum, not a lower bound.  Every step is
+    rescaled to max w = 1, and halved toward the current weights while the
+    metric it leads to is degenerate; a halved step is not a solved master.
+    The start is searched at its own weight ratios, even below the floor.
+    """
+    active = list(freqs / np.linalg.norm(freqs, axis=1, keepdims=True)) + list(np.eye(2))
+    y = 2.0 * np.log(w0 / w0.max())
+    floor = min(_LOG_FLOOR, float(y.min()))
+    history: list[tuple[int, float]] = []
+    best_y, best_val = y, math.inf
+    t, solved, message = math.nan, False, "evaluation budget exhausted"
+    for count in range(1, budget + 1):
+        search = torus_worst_direction(TorusEmbedding(freqs, np.exp(0.5 * y)))
+        if search.value < best_val:
+            best_y, best_val = y, search.value
+            history.append((count, best_val))
+        if solved and 2.0 * math.log(search.value) - t <= 1e-10:
+            message = "ok"
+            break
+        if count == budget:
+            break
+        active.append(search.direction)
+        y_new, t, solved, master_message = _exchange_master(freqs, np.array(active), y, floor)
+        y_new -= y_new.max()  # the envelope is scale invariant
+        for _ in range(64):
+            if _nondegenerate(freqs, y_new):
+                break
+            y_new = 0.5 * (y + y_new)
+            solved, master_message = False, "its step degenerates the metric"
+        else:
+            y_new = y
+        if not solved and np.array_equal(y_new, y):  # the same search and master would follow
+            message = f"master problem failed: {master_message}"
+            break
+        y = y_new
+    weights = np.exp(0.5 * best_y)
+    weights /= np.linalg.norm(weights)
+    return WeightOptimum(weights, best_val, count, history, message == "ok", message)
+
+
+def _nelder_mead(
+    freqs: np.ndarray, w0: np.ndarray, budget: int, seed: int, grid: int
+) -> WeightOptimum:
+    """Nelder-Mead over log weight ratios (J - 1 free parameters) from the
+    start, then 3 restarts from seeded perturbations of the incumbent."""
+    from scipy.optimize import minimize
+
     j = len(w0)
     rng = np.random.default_rng(seed)
     history: list[tuple[int, float]] = []
@@ -269,9 +406,8 @@ def optimize_weights(
         nonlocal count
         if count >= budget:
             return np.inf
-        w = np.exp(np.concatenate([[0.0], xfree])) if j > 1 else np.ones(1)
         try:
-            torus = TorusEmbedding(freqs, w)
+            torus = TorusEmbedding(freqs, np.exp(np.concatenate([[0.0], xfree])))
         except ValueError:
             count += 1
             return np.inf
@@ -280,11 +416,6 @@ def optimize_weights(
         if not history or val < history[-1][1]:
             history.append((count, val))
         return val
-
-    if j == 1:
-        value = objective(np.zeros(0))
-        w = np.ones(1)
-        return WeightOptimum(w, value, count, history, True, "single frequency")
 
     x0 = np.log(w0[1:] / w0[0])
     best_x, best_val = x0, objective(x0)

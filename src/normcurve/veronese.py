@@ -352,8 +352,9 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
     manifold in flat coordinates.
 
     The constraint is quadratic; its coefficient tensors are precomputed
-    once per space, so constraint, Jacobian, and the exact constant
-    Hessian are single einsum evaluations.
+    once per space, so constraint and Jacobian are single einsum
+    evaluations, and the exact constant Hessian is two matrix products
+    through the quadratic tensor laid out as (D, C * D).
 
     The geodesic spray is closed-form: with the flat Jordan product u o v =
     J v u, J = quad[:D] / 2, the uncentred idempotent P = sqrt(2) y + I/m
@@ -362,6 +363,8 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
     """
     quad, linear, const = _variety_tensors(spc.algebra.kind, spc.n)
     jordan = quad[: spc.flat_dim] / 2.0
+    c_rows, d = quad.shape[:2]
+    hess_flat = 2.0 * quad.transpose(1, 0, 2).reshape(d, c_rows * d)  # [a, (c, b)]
 
     def constraint(y: np.ndarray) -> np.ndarray:
         return const + linear @ y + np.einsum("cab,a,b->c", quad, y, y)
@@ -370,7 +373,7 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
         return linear + 2.0 * np.einsum("cab,b->ca", quad, y)
 
     def hessian(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return 2.0 * np.einsum("cab,...a,...b->...c", quad, u, v)
+        return ((u @ hess_flat).reshape(u.shape[:-1] + (c_rows, d)) @ v[..., None])[..., 0]
 
     def spray(y: np.ndarray, v: np.ndarray) -> np.ndarray:
         w = jordan @ v @ v

@@ -360,6 +360,38 @@ def test_torus_optimize_failing_claim_exits_one(monkeypatch, tmp_path):
     assert "pass = no" in out.read_text()
 
 
+def test_torus_optimize_failed_master_still_reports(monkeypatch, tmp_path, capsys):
+    import scipy.optimize
+
+    def stuck(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(x=np.asarray(x0), success=False, message="stuck")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", stuck)
+    freqs = tmp_path / "freqs.txt"
+    freqs.write_text("1,0 1.2\n0,1 0.9\n1,1 1.0\n")
+    out = tmp_path / "torus.txt"
+    assert main(["torus", "optimize", "--freqs", str(freqs), "--out", str(out)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    text = out.read_text()
+    # a master that returns its start would repeat the same search: stop after it
+    assert "torus_opt.evaluations = 1\n" in text
+    assert "torus_opt.converged = no\n" in text
+    assert "torus_opt.message = master problem failed: stuck\n" in text
+
+
+def test_torus_optimize_sheared_pair(tmp_path, capsys):
+    # a pair whose metric is far from isotropic: no master step may leave the
+    # nondegenerate weights, and the optimum is the product torus's sqrt(2)
+    freqs = tmp_path / "freqs.txt"
+    freqs.write_text("1,0 1.0\n7,1 1.0\n")
+    out = tmp_path / "torus.txt"
+    assert main(["torus", "optimize", "--freqs", str(freqs), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    text = out.read_text()
+    assert "torus_opt.converged = yes\n" in text
+    assert "torus_opt.achieved = 1.41421356237\n" in text
+
+
 def test_torus_optimize_nonfinite_weight(tmp_path, capsys):
     freqs = tmp_path / "freqs.txt"
     freqs.write_text("1,0 1.0\n0,1 nan\n1,1 1.0\n")

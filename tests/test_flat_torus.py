@@ -153,29 +153,165 @@ def test_worst_direction_against_dense_oracle(freqs):
         assert ws.value >= _dense_oracle(torus) - 1e-12
 
 
+def _assert_triangular_optimum(result):
+    assert abs(result.value - SQRT32) <= 1e-12
+    assert np.max(np.abs(result.weights - result.weights[0])) <= 1e-6
+    # the exact search at the returned weights agrees with a dense sample
+    torus = TorusEmbedding(triangular_family(2), result.weights)
+    assert _dense_oracle(torus) <= result.value + 1e-12
+    values = [value for _, value in result.history]
+    assert values == sorted(values, reverse=True)
+
+
 def test_optimizer_recovers_triangular_optimum():
     result = optimize_weights(
         triangular_family(2), np.array([1.2, 0.9, 1.0]), budget=10_000, seed=0
     )
-    assert result.evaluations <= 10_000
-    assert abs(result.value - SQRT32) <= 1e-4
-    assert np.max(np.abs(result.weights - result.weights[0])) <= 1e-3
-    assert result.history[0][1] >= result.history[-1][1]
+    assert result.converged and result.message == "ok"
+    assert result.evaluations <= 10
+    _assert_triangular_optimum(result)
 
 
 def test_optimizer_from_second_perturbed_start():
     result = optimize_weights(
         triangular_family(2), np.array([0.8, 1.3, 1.05]), budget=10_000, seed=1
     )
-    assert abs(result.value - SQRT32) <= 1e-4
+    assert result.converged
+    _assert_triangular_optimum(result)
 
 
-def test_optimizer_budget_exhausted_in_last_restart():
-    # a full run at this grid converges after 836 evaluations
+@pytest.mark.parametrize(
+    "freqs",
+    [
+        product_family(2),
+        np.array([[1, 0], [0, 1], [1, 1], [1, -1]]),
+        np.array([[1, 0], [0, 1], [1, 2]]),  # the first master parks two weights on the floor
+        np.array([[1, 0], [7, 1]]),
+        np.array([[1, 0], [10, 1]]),
+        np.array([[1, 0], [0, 1], [30, 1]]),
+    ],
+    ids=["prod2", "square2", "floor2", "shear7", "shear10", "shear30"],
+)
+def test_exchange_never_worse_than_start_nor_below_bound(freqs):
+    start = torus_worst_direction(TorusEmbedding(freqs, np.ones(len(freqs)))).value
+    result = optimize_weights(freqs, np.ones(len(freqs)))
+    assert result.converged
+    assert SQRT32 - 1e-9 <= result.value <= start
+    at_weights = torus_worst_direction(TorusEmbedding(freqs, result.weights)).value
+    assert at_weights == pytest.approx(result.value, rel=1e-12)
+
+
+def test_exchange_budget_exhausted():
+    # two searches: the start, then the first master's floor-parked weights
+    start = np.array([1.2, 0.9, 1.0])
+    result = optimize_weights(triangular_family(2), start, budget=2)
+    assert result.evaluations == 2
+    assert not result.converged
+    assert result.message == "evaluation budget exhausted"
+    # the best family evaluated is the start
+    assert result.history == [(1, result.value)]
+    assert np.allclose(result.weights, start / np.linalg.norm(start), rtol=1e-12)
+
+
+def test_exchange_needs_a_successful_master(monkeypatch):
+    # on the product torus the worst direction is always a seeded axis, so
+    # every gap is 0; only the master's failure keeps the run from stopping
+    import scipy.optimize
+
+    def failing_step(fun, x0, **kwargs):
+        x = np.asarray(x0) - np.eye(len(x0))[0]
+        return scipy.optimize.OptimizeResult(x=x, success=False, message="failed step")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", failing_step)
+    result = optimize_weights(product_family(2), np.ones(2), budget=5)
+    assert result.evaluations == 5
+    assert not result.converged
+    assert result.message == "evaluation budget exhausted"
+
+
+def test_worst_direction_near_degenerate_metric():
+    # two frequencies: kappa * R peaks at R / min(w), along u orthogonal to the
+    # heavier frequency.  Here the metric's eigenvalues are 5e-11 and 50.
+    freqs, weights = np.array([[1, 0], [7, 1]]), np.array([5e-5, 1.0])
+    ws = torus_worst_direction(TorusEmbedding(freqs, weights))
+    assert ws.value == pytest.approx(math.hypot(1.0, 2e4), rel=1e-9)
+    assert abs(freqs[1] @ ws.direction) <= 1e-9 * np.linalg.norm(ws.direction)
+
+
+def test_exchange_backs_off_a_degenerate_step(monkeypatch):
+    # a master step to y = (-20, 0) on [[1, 0], [10, 1]] leaves a metric that
+    # TorusEmbedding rejects; the step is halved, and the run goes on
+    import scipy.optimize
+
+    freqs = np.array([[1, 0], [10, 1]])
+    with pytest.raises(ValueError, match="degenerate"):
+        TorusEmbedding(freqs, np.exp(0.5 * np.array([-20.0, 0.0])))
+    real_minimize, calls = scipy.optimize.minimize, []
+
+    def degenerate_first(fun, x0, **kwargs):
+        calls.append(x0)
+        if len(calls) == 1:
+            return scipy.optimize.OptimizeResult(
+                x=np.array([-20.0, 0.0, 0.0]), success=True, message="ok"
+            )
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", degenerate_first)
+    result = optimize_weights(freqs, np.ones(2))
+    assert result.converged and result.evaluations >= 3
+    assert result.value == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+
+def test_exchange_rescaled_step_is_no_step(monkeypatch):
+    # the envelope is scale invariant, so a master that only scales the weights
+    # down leads back to the same family.  Unscaled, w^2 = e^-20 would fail the
+    # metric check here (eigenvalues 2e-13 and 2e-5), and the step would be halved.
+    import scipy.optimize
+
+    def scale_down(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(
+            x=np.append(np.full(len(x0) - 1, -20.0), x0[-1]), success=True, message="ok"
+        )
+
+    monkeypatch.setattr(scipy.optimize, "minimize", scale_down)
+    result = optimize_weights(np.array([[1, 0], [100, 1]]), np.ones(2))
+    assert result.converged and result.evaluations == 2
+
+
+def test_exchange_searches_a_start_below_the_floor():
+    # w^2 ratio 1e-12 < e^-20: the first search is at the start's own weights
+    freqs, start = triangular_family(2), np.array([1e-6, 1.0, 1.0])
+    start_value = torus_worst_direction(TorusEmbedding(freqs, start)).value
+    result = optimize_weights(freqs, start)
+    assert result.history[0] == (1, start_value)
+    assert result.value <= start_value
+
+
+def test_nelder_mead_budget_exhausted_at_n3():
+    # n = 3 keeps Nelder-Mead, which spends the whole budget on this family
+    result = optimize_weights(triangular_family(3), np.ones(6), budget=80, seed=0, grid=1024)
+    assert result.evaluations == 80
+    assert not result.converged
+    assert result.message == "evaluation budget exhausted"
+
+
+def test_optimizer_budget_exhausted_in_last_restart(monkeypatch):
+    # a full run converges after 779 evaluations; the last restart starts at
+    # evaluation 585, so a budget of 700 runs out inside it
+    import scipy.optimize
+
+    real_minimize, methods = scipy.optimize.minimize, []
+
+    def recording(fun, x0, **kwargs):
+        methods.append(kwargs["method"])
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
     result = optimize_weights(
-        triangular_family(2), np.array([1.2, 0.9, 1.0]), budget=835, seed=0, grid=256
+        product_family(3), np.array([1.0, 1.3, 0.8]), budget=700, seed=0, grid=256
     )
-    assert result.evaluations <= 835
+    assert methods == ["Nelder-Mead"] * 4
+    assert result.evaluations == 700
     assert not result.converged
     assert result.message == "evaluation budget exhausted"
 

@@ -227,6 +227,20 @@ def _batch_case(name):
     return var, project_point(var, var.base_point + 0.1)
 
 
+@pytest.mark.parametrize("name", VARIETY_SPACES)
+def test_variety_hessian_matches_polarized_constraint(name):
+    # oracle: for a quadratic c, c(u + v) - c(u) - c(v) + c(0) = D^2c[u, v]
+    var = veronese.variety(veronese.space_from_name(name))
+    rng = np.random.default_rng(57)
+    u = rng.standard_normal((2, 3, var.ambient_dim))
+    v = rng.standard_normal((3, var.ambient_dim))
+    zero = np.zeros(var.ambient_dim)
+    c = var.constraint
+    polar = np.array([[c(a + b) - c(a) - c(b) + c(zero) for a, b in zip(row, v)] for row in u])
+    assert np.max(np.abs(var.hessian(u, v) - polar)) <= 1e-12 * np.max(np.abs(polar))
+    assert np.max(np.abs(var.hessian(v, u) - polar)) <= 1e-12 * np.max(np.abs(polar))
+
+
 @pytest.mark.parametrize("name", VARIETY_SPACES + ["sphere", "cone"])
 def test_batched_curvature_rows_match_single_calls(name):
     var, p = _batch_case(name)
