@@ -17,15 +17,6 @@ from .algebra import (
     Algebra,
     algebra_by_kind,
 )
-from .ambient import (
-    HermitianMatrix,
-    flat_dim,
-    flatten,
-    frobenius_inner,
-    jordan_product,
-    random_hermitian,
-    unflatten,
-)
 from .ball import Ball, min_enclosing_ball
 from .curves import (
     BowReport,
@@ -71,6 +62,7 @@ from .veronese import (
     space,
     space_from_name,
     standard_planes,
+    unflatten,
     variety,
 )
 

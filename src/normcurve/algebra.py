@@ -8,9 +8,9 @@ convention
     (a, b) * (c, d) = (a*c - conj(d)*b,  d*a + b*conj(c)),
 
 which reproduces the standard quaternion table (i*j = k) and yields the
-octonions as pairs of quaternions.  All operations accept numpy arrays
-whose trailing axis holds the coefficients, so they vectorize over
-leading axes.
+octonions as pairs of quaternions.  Callers contract ``table`` with
+arrays whose trailing axis holds the coefficients, and conjugate by
+multiplying with ``conj_signs``.
 """
 
 from __future__ import annotations
@@ -86,38 +86,6 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra({self.kind!r})"
-
-    def _coerce(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dim,):
-            raise ValueError(
-                f"expected trailing axis of length {self.dim} for {self.kind}, "
-                f"got shape {x.shape}"
-            )
-        return x
-
-    def multiply(self, x, y) -> np.ndarray:
-        """Algebra product; broadcasts over leading axes."""
-        x = self._coerce(x)
-        y = self._coerce(y)
-        return np.einsum("ijk,...i,...j->...k", self.table, x, y)
-
-    def conjugate(self, x) -> np.ndarray:
-        """Negate all imaginary coefficients."""
-        return self._coerce(x) * self.conj_signs
-
-    def norm(self, x) -> np.ndarray:
-        return np.linalg.norm(self._coerce(x), axis=-1)
-
-    def real_part(self, x) -> np.ndarray:
-        return self._coerce(x)[..., 0]
-
-    def basis(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.dim:
-            raise ValueError(f"basis index {i} out of range for {self.kind}")
-        out = np.zeros(self.dim)
-        out[i] = 1.0
-        return out
 
     def random(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         """Standard Gaussian coefficients, shape ``shape + (dim,)``."""

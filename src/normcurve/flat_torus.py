@@ -108,9 +108,11 @@ class TorusEmbedding:
         return out
 
     def unit_direction(self, u) -> np.ndarray:
-        """Rescale u to unit length in the torus metric."""
+        """Rescale u to unit length in the torus metric, u^T G u computed as
+        sum_j w_j^2 <k_j, u>^2: nonnegative terms, no cancellation when G is
+        near-singular."""
         u = np.asarray(u, dtype=float)
-        q = float(u @ self.metric @ u)
+        q = float(self.weights**2 @ (self.freqs @ u) ** 2)
         if q <= 0.0:
             raise ValueError("direction must be nonzero")
         return u / math.sqrt(q)
@@ -124,11 +126,12 @@ def torus_normal_curvature(torus: TorusEmbedding, u) -> float:
 
 
 def curvature_radius_products(torus: TorusEmbedding, dirs: np.ndarray) -> np.ndarray:
-    """kappa(u) * R for each row of ``dirs`` (metric normalization applied)."""
-    g = torus.metric
-    q = np.einsum("ia,ab,ib->i", dirs, g, dirs)
+    """kappa(u) * R for each row of ``dirs`` (metric normalization applied,
+    with u^T G u summed from the slopes as in ``unit_direction``)."""
+    w2 = torus.weights**2
     slopes = dirs @ torus.freqs.T
-    val = np.sqrt(np.einsum("j,ij->i", torus.weights**2, slopes**4)) / q
+    q = np.einsum("j,ij->i", w2, slopes**2)
+    val = np.sqrt(np.einsum("j,ij->i", w2, slopes**4)) / q
     return val * torus.sphere_radius
 
 

@@ -11,6 +11,14 @@ are unit-speed planar circles of radius 1/2 that close after length pi,
 and the chordal distance between two points equals sin(theta) for
 intrinsic distance theta in [0, pi/2].
 
+A Hermitian m-by-m matrix over an algebra of real dimension a is held as
+an (..., m, m, a) array of entry coefficients.  ``flatten_entries`` maps
+it isometrically to R^D with D = m + a*m*(m-1)/2: real diagonal entries
+are copied and each off-diagonal entry above the diagonal contributes its
+a coefficients scaled by sqrt(2), so the Euclidean norm of the flat
+vector equals the Frobenius norm and the Euclidean inner product equals
+the real trace form Re tr(X o Y).  ``unflatten`` is its inverse.
+
 Octonionic projective points exist only for m = 3 (the Albert algebra),
 and a homogeneous vector is admissible only when its entries generate an
 associative subalgebra -- e.g. when one entry is real, which covers all
@@ -36,7 +44,6 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import Algebra, algebra_by_kind
-from .ambient import SQRT2, HermitianMatrix, flat_dim, flatten, flatten_entries, unflatten
 from .manifold import ImplicitManifold
 
 __all__ = [
@@ -54,7 +61,11 @@ __all__ = [
     "chordal_distance",
     "simplex_circumradius",
     "variety",
+    "flatten_entries",
+    "unflatten",
 ]
+
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,7 @@ class VeroneseSpace:
 
     @property
     def flat_dim(self) -> int:
-        return flat_dim(self.algebra, self.m)
+        return self.m + self.algebra.dim * (self.m * (self.m - 1) // 2)
 
     @property
     def intrinsic_dim(self) -> int:
@@ -102,7 +113,12 @@ def space(kind: str, n: int) -> VeroneseSpace:
 def space_from_name(name: str) -> VeroneseSpace:
     """Parse names like 'rp2', 'CP3', 'op2'."""
     label = name.strip().lower()
-    if len(label) < 3 or label[1] != "p" or label[0] not in _KIND_FROM_LETTER:
+    if (
+        len(label) < 3
+        or label[1] != "p"
+        or label[0] not in _KIND_FROM_LETTER
+        or not label[2:].isdecimal()
+    ):
         raise ValueError(f"unrecognized space name {name!r}")
     return space(_KIND_FROM_LETTER[label[0]], int(label[2:]))
 
@@ -110,6 +126,43 @@ def space_from_name(name: str) -> VeroneseSpace:
 def standard_planes() -> tuple[VeroneseSpace, ...]:
     """The four projective planes RP2, CP2, HP2, OP2."""
     return tuple(space(kind, 2) for kind in ("real", "complex", "quaternion", "octonion"))
+
+
+# -- flat coordinates --------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _flat_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal positions and the pairs i < j, row-major, of an m-by-m matrix."""
+    index = (np.arange(m), *np.triu_indices(m, k=1))
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
+def flatten_entries(entries: np.ndarray) -> np.ndarray:
+    """Flat coordinates of (..., m, m, dim) Hermitian entries: the diagonal,
+    then the sqrt(2)-scaled entries above it, row-major over pairs i < j."""
+    ii, iu, ju = _flat_index(entries.shape[-2])
+    diag = entries[..., ii, ii, 0]
+    off = SQRT2 * entries[..., iu, ju, :]
+    return np.concatenate([diag, off.reshape(off.shape[:-2] + (-1,))], axis=-1)
+
+
+def unflatten(vecs, algebra: Algebra, m: int) -> np.ndarray:
+    """Inverse of ``flatten_entries``: (..., D) -> (..., m, m, dim) entries."""
+    vecs = np.asarray(vecs, dtype=float)
+    ii, iu, ju = _flat_index(m)
+    d = m + algebra.dim * len(iu)
+    if vecs.shape[-1:] != (d,):
+        raise ValueError(f"expected flat vectors of length {d}, got shape {vecs.shape}")
+    lead = vecs.shape[:-1]
+    entries = np.zeros(lead + (m, m, algebra.dim))
+    entries[..., ii, ii, 0] = vecs[..., :m]
+    off = vecs[..., m:].reshape(lead + (len(iu), algebra.dim)) / SQRT2
+    entries[..., iu, ju, :] = off
+    entries[..., ju, iu, :] = off * algebra.conj_signs
+    return entries
 
 
 # -- homogeneous vectors -----------------------------------------------------
@@ -239,7 +292,6 @@ class GeodesicCircle:
     center: np.ndarray
     axis_a: np.ndarray
     axis_b: np.ndarray
-    period: float = math.pi
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -258,17 +310,14 @@ class GeodesicCircle:
             + np.multiply.outer(np.cos(phase), self.axis_b)
         )
 
-    @property
-    def radius(self) -> float:
-        return float(np.linalg.norm(self.axis_a))
-
 
 def geodesic_circle(spc: VeroneseSpace, v, w) -> GeodesicCircle:
     """Closed-form geodesic through the points of v and of cos t v + sin t w.
 
     Requires v, w orthonormal (unit, Hermitian inner product zero, each to
     1e-10) over an associative algebra; octonionic geodesics come from the
-    integrator on the ``variety`` instead.
+    integrator on the ``variety`` instead.  The points of v, w and
+    (v + w)/sqrt(2) are the circle at t = 0, pi/2 and pi/4.
     """
     if spc.algebra.kind == "octonion":
         raise ValueError("closed-form circles need an associative algebra; integrate instead")
@@ -280,14 +329,9 @@ def geodesic_circle(spc: VeroneseSpace, v, w) -> GeodesicCircle:
     inner = _hermitian_dot(spc.algebra, v, w)
     if np.max(np.abs(inner)) > 1e-10:
         raise ValueError("v and w must be Hermitian-orthogonal")
-    pv = HermitianMatrix.outer(spc.algebra, v)
-    pw = HermitianMatrix.outer(spc.algebra, w)
-    cross = HermitianMatrix.outer(spc.algebra, v + w) - pv - pw  # v w* + w v*
-    identity = HermitianMatrix.identity(spc.algebra, spc.m)
-    center = flatten(((pv + pw) * 0.5 - identity * (1.0 / spc.m)) * (1.0 / SQRT2))
-    axis_a = flatten((pv - pw) * (0.5 / SQRT2))
-    axis_b = flatten(cross * (0.5 / SQRT2))
-    return GeodesicCircle(center=center, axis_a=axis_a, axis_b=axis_b)
+    x_v, x_w, x_s = _flat_points(spc, np.stack([v, w, (v + w) / SQRT2]))
+    center = (x_v + x_w) / 2.0
+    return GeodesicCircle(center=center, axis_a=(x_v - x_w) / 2.0, axis_b=x_s - center)
 
 
 # -- distances ---------------------------------------------------------------
@@ -324,7 +368,7 @@ def _variety_tensors(kind: str, n: int):
     d = spc.flat_dim
     c_rows = d + 1
 
-    basis = np.stack([unflatten(e, alg, m).entries for e in np.eye(d)])
+    basis = unflatten(np.eye(d), alg, m)
     prod = np.einsum("pqk,aijp,bjlq->abilk", alg.table, basis, basis, optimize=True)
     sym = 0.5 * (prod + prod.transpose(1, 0, 2, 3, 4))  # jordan products of basis pairs
 
@@ -333,7 +377,8 @@ def _variety_tensors(kind: str, n: int):
     quad = np.zeros((c_rows, d, d))
     quad[:d] = 2.0 * np.moveaxis(q_flat, 2, 0)
 
-    identity_flat = flatten(HermitianMatrix.identity(alg, m))
+    identity_flat = np.zeros(d)
+    identity_flat[:m] = 1.0
     linear = np.zeros((c_rows, d))
     linear[:d] = SQRT2 * (2.0 / m - 1.0) * np.eye(d)
     linear[d] = SQRT2 * identity_flat

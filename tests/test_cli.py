@@ -325,6 +325,14 @@ def test_dump_geodesic_bad_space(tmp_path):
     assert main(["dump-geodesic", "xp9", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("name", ["rpx", "cp2.5"])
+def test_dump_geodesic_space_without_integer_dimension(tmp_path, capsys, name):
+    out = tmp_path / "x.csv"
+    assert main(["dump-geodesic", name, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unrecognized space name {name!r}\n"
+    assert not out.exists()
+
+
 def test_torus_optimize_command(tmp_path):
     freqs = tmp_path / "freqs.txt"
     freqs.write_text("1,0 1.2\n0,1 0.9\n1,1 1.0\n")

@@ -233,9 +233,17 @@ def test_worst_direction_near_degenerate_metric():
     # two frequencies: kappa * R peaks at R / min(w), along u orthogonal to the
     # heavier frequency.  Here the metric's eigenvalues are 5e-11 and 50.
     freqs, weights = np.array([[1, 0], [7, 1]]), np.array([5e-5, 1.0])
-    ws = torus_worst_direction(TorusEmbedding(freqs, weights))
-    assert ws.value == pytest.approx(math.hypot(1.0, 2e4), rel=1e-9)
+    torus = TorusEmbedding(freqs, weights)
+    ws = torus_worst_direction(torus)
+    exact = math.hypot(1.0, 2e4)
+    assert ws.value == pytest.approx(exact, rel=1e-9)
     assert abs(freqs[1] @ ws.direction) <= 1e-9 * np.linalg.norm(ws.direction)
+    # the pointwise formulas sum u^T G u from the slopes, so they hold 1e-12
+    # there; forming it from G is off by about 6e-6 and 5e-7 (cond(G) = 1e12)
+    u = ws.direction
+    assert curvature_radius_products(torus, u[None])[0] == pytest.approx(exact, rel=1e-12)
+    value = torus_normal_curvature(torus, u) * torus.sphere_radius
+    assert value == pytest.approx(exact, rel=1e-12)
 
 
 def test_exchange_backs_off_a_degenerate_step(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from normcurve import veronese
+from normcurve.algebra import REAL
 from normcurve.manifold import (
     GeodesicState,
     ImplicitManifold,
@@ -21,6 +22,11 @@ from normcurve.manifold import (
     sectional_curvature,
     tangent_basis,
 )
+
+
+def _outer(alg, v):
+    """Entries v_i conj(v_j) of the rank-one matrix of v in A^m."""
+    return np.einsum("pqk,ip,jq->ijk", alg.table, v, v * alg.conj_signs)
 
 
 def sphere_manifold(radius: float, dim: int = 3) -> ImplicitManifold:
@@ -305,16 +311,11 @@ def test_cp2_holomorphic_and_orthogonal_planes():
     p0 = veronese.base_point(spc)
 
     def tangent_from(w):
-        from normcurve.ambient import SQRT2, HermitianMatrix, flatten
-
         e1 = np.zeros((3, 2))
         e1[0, 0] = 1.0
-        cross = (
-            HermitianMatrix.outer(spc.algebra, e1 + w)
-            - HermitianMatrix.outer(spc.algebra, e1)
-            - HermitianMatrix.outer(spc.algebra, w)
-        )
-        t = flatten(cross) / SQRT2
+        alg = spc.algebra
+        cross = _outer(alg, e1 + w) - _outer(alg, e1) - _outer(alg, w)
+        t = veronese.flatten_entries(cross) / veronese.SQRT2
         return t / np.linalg.norm(t)
 
     w = np.zeros((3, 2))
@@ -367,15 +368,8 @@ def test_gauss_bound_consistency():
 
 def _rp2_tangent_of_geodesic(v, w):
     """Initial velocity of t -> point(cos t v + sin t w) at t = 0 (unit)."""
-    from normcurve.ambient import SQRT2, HermitianMatrix, flatten
-    from normcurve.algebra import REAL
-
-    cross = (
-        HermitianMatrix.outer(REAL, v + w)
-        - HermitianMatrix.outer(REAL, v)
-        - HermitianMatrix.outer(REAL, w)
-    )
-    return flatten(cross) / SQRT2
+    cross = _outer(REAL, v + w) - _outer(REAL, v) - _outer(REAL, w)
+    return veronese.flatten_entries(cross) / veronese.SQRT2
 
 
 def test_rp2_angle_excess_matches_spherical_triangles():

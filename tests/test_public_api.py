@@ -1,10 +1,13 @@
 """Every name a module exports through ``__all__`` exists."""
 
 import importlib
+import pkgutil
 
 import pytest
 
-MODULES = ("algebra", "ambient", "ball", "cli", "curves", "flat_torus", "manifold", "veronese")
+import normcurve
+
+MODULES = [m.name for m in pkgutil.iter_modules(normcurve.__path__) if not m.name.startswith("_")]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -7,9 +7,10 @@ import pytest
 
 from normcurve import veronese
 from normcurve.algebra import OCTONION
-from normcurve.ambient import SQRT2, HermitianMatrix, flatten
 from normcurve.veronese import (
+    SQRT2,
     chordal_distance,
+    flatten_entries,
     geodesic_circle,
     point_from_homogeneous,
     random_frame,
@@ -21,6 +22,11 @@ from normcurve.veronese import (
 )
 
 PLANES = veronese.standard_planes()
+
+
+def _outer(alg, v):
+    """Entries v_i conj(v_j) of the rank-one matrix of v in A^m."""
+    return np.einsum("pqk,ip,jq->ijk", alg.table, v, v * alg.conj_signs)
 
 
 def test_space_validation():
@@ -66,7 +72,7 @@ def test_projective_invariance(kind):
         v = random_homogeneous(spc, rng)
         lam = alg.random(rng)
         lam /= np.linalg.norm(lam)
-        scaled = np.stack([alg.multiply(v[i], lam) for i in range(spc.m)])
+        scaled = np.einsum("pqk,ip,q->ik", alg.table, v, lam)
         p1 = point_from_homogeneous(spc, v)
         p2 = point_from_homogeneous(spc, scaled)
         assert np.max(np.abs(p1 - p2)) <= 1e-12
@@ -125,17 +131,18 @@ def test_sample_points_shape():
 
 @pytest.mark.parametrize("name", ["rp1", "cp1", "rp2", "cp2", "hp2", "op2", "hp3"])
 def test_sample_points_match_per_frame_oracle(name):
-    # oracle: each frame vector through HermitianMatrix.outer and flatten
+    # oracle: each frame vector through a test-local outer product and flatten
     spc = space_from_name(name)
-    identity = HermitianMatrix.identity(spc.algebra, spc.m)
+    identity = np.zeros((spc.m, spc.m, spc.algebra.dim))
+    identity[np.arange(spc.m), np.arange(spc.m), 0] = 1.0
     for count in (2 * spc.m, 2 * spc.m + 1):  # whole frames, then a partial one
         rng, oracle_rng = np.random.default_rng(56), np.random.default_rng(56)
         pts = sample_points(spc, count, rng)
         expected = []
         while len(expected) < count:
             for v in random_frame(spc, oracle_rng):
-                proj = HermitianMatrix.outer(spc.algebra, v)
-                expected.append(flatten((proj - identity * (1.0 / spc.m)) * (1.0 / SQRT2)))
+                proj = _outer(spc.algebra, v)
+                expected.append(flatten_entries((proj - identity * (1.0 / spc.m)) * (1.0 / SQRT2)))
         assert pts.shape == (count, spc.flat_dim)
         assert np.max(np.abs(pts - np.array(expected[:count]))) <= 1e-15
         # the same number of frames was drawn
@@ -232,7 +239,8 @@ def test_chord_equals_sine_of_intrinsic_distance(kind):
         v = random_homogeneous(spc, rng)
         w = random_homogeneous(spc, rng)
         # theta = arccos |sum_i conj(v_i) w_i|, the Fubini-Study distance
-        inner = spc.algebra.multiply(spc.algebra.conjugate(v), w).sum(axis=0)
+        alg = spc.algebra
+        inner = np.einsum("pqk,ip,iq->k", alg.table, v * alg.conj_signs, w)
         theta = math.acos(min(1.0, float(np.linalg.norm(inner))))
         chord = chordal_distance(
             spc, point_from_homogeneous(spc, v), point_from_homogeneous(spc, w)
