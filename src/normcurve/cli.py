@@ -213,6 +213,14 @@ def check_sphere_radius(points: int, ball_tol: float, seed: int) -> dict:
     }
 
 
+def _random_geodesic(var, p0, rng, length: float, step: float):
+    """Integrate the geodesic from p0 along a random unit tangent drawn from rng."""
+    basis = manifold.tangent_basis(var, p0)
+    u = rng.standard_normal(len(basis)) @ basis
+    u /= np.linalg.norm(u)
+    return manifold.integrate_geodesic(var, manifold.geodesic_state(var, p0, u), length, step=step)
+
+
 def check_circle_geodesics(step: float, seed: int) -> dict:
     """Closure, best-fit circle radius and planarity of length-pi geodesics."""
     rng = np.random.default_rng([seed, 3])
@@ -223,11 +231,7 @@ def check_circle_geodesics(step: float, seed: int) -> dict:
     for spc in veronese.standard_planes():
         var = veronese.variety(spc)
         p0 = veronese.sample_points(spc, 1, rng)[0]
-        basis = manifold.tangent_basis(var, p0)
-        u = rng.standard_normal(len(basis)) @ basis
-        u /= np.linalg.norm(u)
-        state = manifold.geodesic_state(var, p0, u)
-        curve = manifold.integrate_geodesic(var, state, math.pi, step=step)
+        curve = _random_geodesic(var, p0, rng, math.pi, step)
         closure = float(np.linalg.norm(curve.vertices[-1] - curve.vertices[0]))
         _, radius, _ = curves.fit_circle(curve.vertices)
         planar = curves.planarity_residual(curve.vertices)
@@ -266,13 +270,7 @@ def check_rigidity_arithmetic(step: float, seed: int) -> dict:
     spc = veronese.space("complex", 2)
     var = veronese.variety(spc)
     rng = np.random.default_rng([seed, 4])
-    p0 = veronese.base_point(spc)
-    basis = manifold.tangent_basis(var, p0)
-    u = rng.standard_normal(len(basis)) @ basis
-    u /= np.linalg.norm(u)
-    curve = manifold.integrate_geodesic(
-        var, manifold.geodesic_state(var, p0, u), math.pi / 2.0, step=step
-    )
+    curve = _random_geodesic(var, veronese.base_point(spc), rng, math.pi / 2.0, step)
     half_chord = float(np.linalg.norm(curve.vertices[-1] - curve.vertices[0]))
     return {
         "chord_dev": chord_dev,
@@ -683,13 +681,7 @@ def dump_geodesic(space_name: str, length: float, step: float, out_path: str, se
     spc = veronese.space_from_name(space_name)
     var = veronese.variety(spc)
     rng = np.random.default_rng([seed, 11])
-    p0 = veronese.base_point(spc)
-    basis = manifold.tangent_basis(var, p0)
-    u = rng.standard_normal(len(basis)) @ basis
-    u /= np.linalg.norm(u)
-    curve = manifold.integrate_geodesic(
-        var, manifold.geodesic_state(var, p0, u), length, step=step
-    )
+    curve = _random_geodesic(var, veronese.base_point(spc), rng, length, step)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s"] + [f"x{i}" for i in range(curve.dim)])

@@ -19,11 +19,13 @@ of the flat Laplacian, so the second derivative of block j is
 The scale-invariant objective kappa(u) * R is bounded below by
 sqrt(3 n / (n + 2)) over all families and directions; the triangular
 family {e_1, e_2, e_1 + e_2} with equal weights attains the bound at
-n = 2 with direction-independent curvature.  ``torus_worst_direction`` is
-exact at n = 2 (polynomial roots); at n = 3 it is a grid plus Newton
-ascent.  ``optimize_weights`` minimizes the worst value over the weights
-of a fixed family: by the exchange method at n = 2, a master problem over
-an active set of directions that each exact search extends, and by
+n = 2 with direction-independent curvature.  ``torus_worst_direction``
+maximizes one quartic form over unit vectors of metric-whitened
+coordinates at every n <= 3: exactly at n = 2 (polynomial roots), and by
+a grid plus Newton ascent at n = 3, which gives a lower bound.
+``optimize_weights`` minimizes the worst value over the weights of a
+fixed family: by the exchange method at n = 2, a master problem over an
+active set of directions that each exact search extends, and by
 Nelder-Mead over the search's lower bound at n = 3.
 """
 
@@ -152,96 +154,82 @@ def _fibonacci_hemisphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _tangent_frame(dirs: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent pairs (m, 2, 3) at the unit rows of ``dirs``."""
-    near_axis = np.linalg.norm(np.cross(dirs, [1.0, 0.0, 0.0]), axis=1) < 1e-6
-    t1 = np.cross(dirs, np.where(near_axis[:, None], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]))
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    return np.stack([t1, np.cross(dirs, t1)], axis=1)
-
-
-def _newton_ascent(torus: TorusEmbedding, u: np.ndarray, vals: np.ndarray) -> tuple:
-    """Batched Newton ascent of log(P / Q^2), P = sum_j w_j^2 <k_j, u>^4 and
-    Q = u^T G u, on unit rows u (n = 3): being homogeneous of degree 0, its
-    gradient is tangent and its Riemannian Hessian is the tangent block.
-    Steps that do not ascend become gradient steps; steps halve (up to 29
-    times) until kappa * R, given as ``vals``, does not decrease."""
-    k, w2, g = torus.freqs, torus.weights**2, torus.metric
-    active = np.ones(len(u), dtype=bool)
+def _newton_ascent(
+    q_rows: np.ndarray, c: np.ndarray, v: np.ndarray, vals: np.ndarray
+) -> np.ndarray:
+    """Batched Newton ascent of F(v) = sum_j c_j <q_j, v>^4 on unit rows v,
+    from values F(v) given as ``vals``.  With P = I - v v^T, F homogeneous of
+    degree 4 has sphere gradient P grad F and tangent Hessian P H P - 4 F P;
+    the step solves (P H P - 4 F P - v v^T) s = -P grad F, whose v v^T term
+    keeps s tangent.  Steps that do not ascend become gradient steps; steps
+    halve (up to 29 times) until F does not decrease."""
+    active = np.ones(len(v), dtype=bool)
     for _ in range(50):
-        s, gu = u @ k.T, u @ g
-        quartic, quadratic = s**4 @ w2, np.sum(u * gu, axis=1)
-        gp = 4.0 * (w2 * s**3) @ k / quartic[:, None]  # grad log P
-        gq = 2.0 * gu / quadratic[:, None]  # grad log Q
-        hess = 12.0 * np.einsum("ij,ja,jb->iab", w2 * s**2, k, k) / quartic[:, None, None]
-        hess += 2.0 * gq[:, :, None] * gq[:, None] - gp[:, :, None] * gp[:, None]
-        hess -= 4.0 * g / quadratic[:, None, None]
-        frame = _tangent_frame(u)
-        grad = np.einsum("ika,ia->ik", frame, gp - 2.0 * gq)
-        hess = np.einsum("ika,iab,ilb->ikl", frame, hess, frame)
-        step = -np.einsum("ikl,il->ik", np.linalg.pinv(hess), grad)
+        s, vvt = v @ q_rows.T, v[:, :, None] * v[:, None]
+        proj = np.eye(v.shape[1]) - vvt
+        grad = np.einsum("iab,ib->ia", proj, 4.0 * (c * s**3) @ q_rows)
+        hess = 12.0 * np.einsum("ij,ja,jb->iab", c * s**2, q_rows, q_rows)
+        hess = proj @ hess @ proj - 4.0 * vals[:, None, None] * proj - vvt
+        step = -np.einsum("iab,ib->ia", np.linalg.pinv(hess), grad)
         step = np.where((np.sum(step * grad, axis=1) > 0.0)[:, None], step, grad)
-        active &= np.sum(step * grad, axis=1) > 1e-15  # first-order gain in log(P / Q^2)
+        active &= np.sum(step * grad, axis=1) > 1e-15 * vals  # first-order gain in log F
         if not active.any():
             break
-        move = np.einsum("ik,ika->ia", step, frame)[:, None]
-        trial = u[:, None] + 0.5 ** np.arange(30)[:, None] * move  # (m, 30, 3)
+        trial = v[:, None] + 0.5 ** np.arange(30)[:, None] * step[:, None]  # (m, 30, 3)
         trial /= np.linalg.norm(trial, axis=2, keepdims=True)
-        fc = curvature_radius_products(torus, trial.reshape(-1, 3)).reshape(len(u), -1)
-        pick = np.arange(len(u)), np.argmax(fc >= vals[:, None], axis=1)  # longest good step
+        fc = (trial @ q_rows.T) ** 4 @ c
+        pick = np.arange(len(v)), np.argmax(fc >= vals[:, None], axis=1)  # longest good step
         active &= fc[pick] >= vals
-        u, vals = np.where(active[:, None], trial[pick], u), np.where(active, fc[pick], vals)
-    return u, vals
+        v, vals = np.where(active[:, None], trial[pick], v), np.where(active, fc[pick], vals)
+    return v
 
 
 def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionSearch:
-    """Largest kappa(u) * R over directions (n <= 3).
+    """Largest kappa(u) * R over directions (n <= 3), in metric-whitened
+    coordinates: with diag(w) K = Q R (thin QR), u = R^-1 v has u^T G u = |v|^2
+    and w_j <k_j, u> = <q_j, v> for the rows q_j of Q, so on |v| = 1,
+    (kappa R)^2 / R^2 is F(v) = sum_j <q_j, v>^4 / w_j^2.  No metric is
+    formed, so F and its peaks stay accurate when G is near-singular.
 
-    Exact at n = 2, from the roots of a polynomial in metric-whitened
-    coordinates, so also near a degenerate metric; ``grid`` is not read.
-    At n = 3, a Fibonacci grid of ``grid`` directions, then a batched Newton
-    ascent from its 4 best points: a local maximum, so a lower bound on the
-    global one, which a coarse grid can miss.  With a near-zero weight the
-    global peak is a narrow spike: the family [[-2, 1, -2], [1, -1, 0],
-    [2, 2, 0]] with weights (1e-4, 1, 1) gives 1.41423 at grid 1024, while
-    a 400k-point grid followed by the same ascent gives 14142.1.
+    Exact at n = 1 and at n = 2, from the roots of a polynomial; ``grid``
+    is read only at n = 3.
+    At n = 3, a Fibonacci grid of ``grid`` directions v, then a batched
+    Newton ascent from its 4 best points: a local maximum, so a lower bound
+    on the global one.  F is a quartic form, a trigonometric polynomial of
+    degree 4 along every great circle, so no peak of it is narrow, even where
+    a small weight makes one in u.  For a square family (J = n) Q is
+    orthogonal and the maximum is R / min w exactly: [[-2, 1, -2], [1, -1, 0],
+    [2, 2, 0]] with weights (1e-4, 1, 1) gives 14142.1 at grid 64.
     """
-    n = torus.n
+    n, w2 = torus.n, torus.weights**2
+    if n > 3:
+        raise ValueError("direction search is implemented for n <= 3")
+    q_rows, r = np.linalg.qr(torus.weights[:, None] * torus.freqs)
     if n == 1:
-        dirs = np.ones((1, 1))
-        points, vals = 1, curvature_radius_products(torus, dirs)
+        v = np.ones((1, 1))
     elif n == 2:
-        # whitened: with diag(w) K = Q R (thin QR), u = R^-1 v has u^T G u = |v|^2 and
-        # w_j <k_j, u> = <q_j, v> for the rows q_j of Q, so on |v| = 1, (kappa R)^2 / R^2
-        # is F(v) = sum_j <q_j, v>^4 / w_j^2.  No metric is formed, so F and its peaks stay
-        # accurate when G is near-singular.  With v = (cos phi, sin phi), z_j = q_j1 - i q_j2,
-        # F = A0 + Re(A2 e^(2 i phi) + A4 e^(4 i phi)) with A2 = sum |z|^2 z^2 / 2 w^2 = a + ib
-        # and A4 = sum z^4 / 8 w^2 = c + id.  In t = tan(phi), dF/dphi = 0 is the quartic
-        # below, highest power first, which is 0 for constant kappa; phi = pi/2 is its root
-        # at infinity.
-        w2 = torus.weights**2
-        q_rows, r = np.linalg.qr(torus.weights[:, None] * torus.freqs)
+        # with v = (cos phi, sin phi), z_j = q_j1 - i q_j2, F = A0 + Re(A2 e^(2 i phi) +
+        # A4 e^(4 i phi)) with A2 = sum |z|^2 z^2 / 2 w^2 = a + ib and A4 = sum z^4 / 8 w^2
+        # = c + id.  In t = tan(phi), dF/dphi = 0 is the quartic below, highest power
+        # first, which is 0 for constant kappa; phi = pi/2 is its root at infinity.
         z = q_rows[:, 0] - 1j * q_rows[:, 1]
         a2, a4 = np.sum(np.abs(z) ** 2 * z**2 / w2) / 2.0, np.sum(z**4 / w2) / 8.0
         a, b, c, d = a2.real, a2.imag, a4.real, a4.imag
         crit = [2.0 * d - b, 2.0 * a - 8.0 * c, -12.0 * d, 2.0 * a + 8.0 * c, b + 2.0 * d]
         phis = np.append(np.arctan(np.roots(crit).real), [0.0, 0.5 * math.pi])
         v = np.column_stack([np.cos(phis), np.sin(phis)])
-        points, vals = len(v), np.sqrt((v @ q_rows.T) ** 4 @ (1.0 / w2) * w2.sum())
-        u1 = v[:, 1] / r[1, 1]  # u = R^-1 v by back substitution
-        dirs = np.column_stack([(v[:, 0] - r[0, 1] * u1) / r[0, 0], u1])
-    elif n == 3:
+    else:
         if grid < 1:
             raise ValueError(f"grid must be at least 1, got {grid}")
-        grid_dirs = _fibonacci_hemisphere(grid)
-        grid_vals = curvature_radius_products(torus, grid_dirs)
-        top = np.argsort(grid_vals)[::-1][:4]
-        dirs, vals = _newton_ascent(torus, grid_dirs[top], grid_vals[top])
-        points = grid
-    else:
-        raise ValueError("direction search is implemented for n <= 3")
-    best = int(np.argmax(vals))
-    return DirectionSearch(torus.unit_direction(dirs[best]), float(vals[best]), points)
+        v = _fibonacci_hemisphere(grid)
+        f = (v @ q_rows.T) ** 4 @ (1.0 / w2)
+        top = np.argsort(f)[::-1][:4]
+        v = _newton_ascent(q_rows, 1.0 / w2, v[top], f[top])
+    f = (v @ q_rows.T) ** 4 @ (1.0 / w2)
+    best = int(np.argmax(f))
+    u = np.linalg.solve(r, v[best])  # back to frequency coordinates
+    value = math.sqrt(f[best] * w2.sum())
+    return DirectionSearch(torus.unit_direction(u), value, grid if n == 3 else len(v))
 
 
 @dataclass
@@ -268,8 +256,8 @@ def optimize_weights(
     ``budget`` caps the direction searches, which ``evaluations`` counts.
     At n = 2, where the search is exact, this is the exchange method
     (``_exchange``); ``seed`` and ``grid`` are not read.  At n = 3 the
-    search is only a local lower bound, whose blind spots an exchange
-    would exploit (see ``torus_worst_direction``), so it is Nelder-Mead
+    search is a local maximum with no certificate, and an exchange would
+    drive the weights toward any peak it misses, so it is Nelder-Mead
     (``_nelder_mead``), deterministic for a fixed seed.  Returns the best
     family evaluated, normalized to sum w^2 = 1, with a monotone
     ``history`` of (evaluation, value) at each improvement.

@@ -246,6 +246,42 @@ def test_worst_direction_near_degenerate_metric():
     assert value == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid", [64, 1024])
+def test_square_family_n3_exact_maximum(grid):
+    # J = n = 3: Q is orthogonal, so F(v) <= (sum_j <q_j, v>^2)^2 / min w^2 = 1 / min w^2,
+    # with equality at the row of Q of the lightest frequency: max kappa R = R / min w.
+    # A small weight makes that peak a narrow spike in frequency coordinates.
+    freqs = np.array([[-2, 1, -2], [1, -1, 0], [2, 2, 0]])
+    rng = np.random.default_rng(88)
+    weight_sets = [np.array([1e-4, 1.0, 1.0])]
+    weight_sets += [np.exp(rng.uniform(math.log(1e-4), 0.0, 3)) for _ in range(4)]
+    for weights in weight_sets:
+        torus = TorusEmbedding(freqs, weights)
+        ws = torus_worst_direction(torus, grid=grid)
+        exact = torus.sphere_radius / weights.min()
+        assert ws.value == pytest.approx(exact, rel=1e-12)
+        at_direction = torus_normal_curvature(torus, ws.direction) * torus.sphere_radius
+        assert at_direction == pytest.approx(exact, rel=1e-12)
+
+
+def test_direction_search_never_reads_the_metric(monkeypatch):
+    tori = [
+        TorusEmbedding(np.array([[1]]), np.array([1.0])),
+        TorusEmbedding(triangular_family(2), np.array([0.7, 1.1, 0.4])),
+        TorusEmbedding(triangular_family(3), np.array([0.7, 1.1, 0.4, 0.9, 1.3, 0.6])),
+    ]
+    expected = [torus_worst_direction(torus, grid=256) for torus in tori]
+
+    def no_metric(self):
+        raise AssertionError("the direction search read the metric")
+
+    monkeypatch.setattr(TorusEmbedding, "metric", property(no_metric))
+    for torus, before in zip(tori, expected):
+        after = torus_worst_direction(torus, grid=256)
+        assert after.value == before.value
+        assert np.array_equal(after.direction, before.direction)
+
+
 def test_exchange_backs_off_a_degenerate_step(monkeypatch):
     # a master step to y = (-20, 0) on [[1, 0], [10, 1]] leaves a metric that
     # TorusEmbedding rejects; the step is halved, and the run goes on
