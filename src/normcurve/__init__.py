@@ -39,11 +39,9 @@ from .flat_torus import (
     torus_worst_direction,
 )
 from .manifold import (
-    GeodesicState,
     ImplicitManifold,
     ProjectionError,
     SingularPointError,
-    geodesic_state,
     integrate_geodesic,
     mean_curvature_vector,
     normal_curvature,

@@ -218,7 +218,7 @@ def _random_geodesic(var, p0, rng, length: float, step: float):
     basis = manifold.tangent_basis(var, p0)
     u = rng.standard_normal(len(basis)) @ basis
     u /= np.linalg.norm(u)
-    return manifold.integrate_geodesic(var, manifold.geodesic_state(var, p0, u), length, step=step)
+    return manifold.integrate_geodesic(var, p0, u, length, step=step)
 
 
 def check_circle_geodesics(step: float, seed: int) -> dict:
@@ -332,15 +332,7 @@ def check_sectional_curvature(samples: int, seed: int) -> dict:
     }
 
 
-def check_torus(
-    directions: int,
-    budget: int,
-    grid: int,
-    opt_grid: int,
-    n3_budget: int,
-    n3_grid: int,
-    seed: int,
-) -> dict:
+def check_torus(directions: int, budget: int, n3_budget: int, n3_grid: int, seed: int) -> dict:
     """Triangular-family constant, optimizer recovery, and the n = 3 probe."""
     rng = np.random.default_rng([seed, 7])
     target2 = flat_torus.curvature_bound(2)
@@ -357,7 +349,6 @@ def check_torus(
         np.array([1.2, 0.9, 1.0]),
         budget=budget,
         seed=seed,
-        grid=opt_grid,
     )
     n1 = flat_torus.TorusEmbedding(np.array([[1]]), np.array([1.0]))
     n1_value = flat_torus.torus_worst_direction(n1).value
@@ -548,7 +539,9 @@ def _suite_rigidity(c: dict, seed: int):
 
 
 def _suite_torus(c: dict, seed: int):
-    tr = check_torus(**c, seed=seed)
+    # grid and opt_grid are echoed but read by no engine
+    live = ("directions", "budget", "n3_budget", "n3_grid")
+    tr = check_torus(**{key: c[key] for key in live}, seed=seed)
     claims = [
         Claim(
             "C7",
@@ -778,6 +771,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command == "verify":
             report = run_suite(args.suite, config_path=args.config, out_path=args.out, seed=args.seed)
             sys.stdout.write(render_report(report))

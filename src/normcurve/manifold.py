@@ -1,16 +1,20 @@
-"""Generic engine for submanifolds of R^D given by smooth constraint maps.
+"""Engine for submanifolds of R^D cut out by quadratic constraint maps.
 
-A manifold is the zero set of a constraint map c: R^D -> R^C near a base
-point.  The constraint rows may be redundant, so ranks use a fixed
-relative cut: a singular value of the Jacobian at most ``RANK_TOL`` times
-the largest counts as zero.  Tangent spaces are the null space of a full
-SVD of the Jacobian; every normal-space solve is one least-squares call
-(LAPACK gelsd) with the same cut, whose minimum-norm solution lies in the
-row space of the Jacobian.  The curvature queries broadcast over stacked
+A manifold is the zero set, near a base point, of a quadratic map
+c: R^D -> R^C given by its coefficients,
+
+    c(x) = const + linear x + x^T quad x   (one row per constraint).
+
+The constraint rows may be redundant, so ranks use a fixed relative cut: a
+singular value of the Jacobian at most ``RANK_TOL`` times the largest
+counts as zero.  Tangent spaces are the null space of a full SVD of the
+Jacobian; every normal-space solve is one least-squares call (LAPACK
+gelsd) with the same cut, whose minimum-norm solution lies in the row
+space of the Jacobian.  The curvature queries broadcast over stacked
 tangent vectors, so all directions at one point share one solve.
 
-For the quadratic varieties used in this package the constraint Hessian
-is exact and constant, so the second fundamental form
+The constraint Hessian of a quadratic map is exact and constant, so the
+second fundamental form
 
     II(u, v) = the normal vector w solving  Dc(p) w = -D^2c[u, v]
 
@@ -35,7 +39,6 @@ from .curves import DiscreteCurve
 
 __all__ = [
     "ImplicitManifold",
-    "GeodesicState",
     "SingularPointError",
     "ProjectionError",
     "tangent_basis",
@@ -45,7 +48,6 @@ __all__ = [
     "mean_curvature_vector",
     "project_point",
     "project_velocity",
-    "geodesic_state",
     "integrate_geodesic",
 ]
 
@@ -60,35 +62,43 @@ class ProjectionError(RuntimeError):
     """Gauss-Newton projection onto the constraint set failed to converge."""
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality: a generated __eq__ would compare arrays
 class ImplicitManifold:
-    """Submanifold of R^D cut out by ``constraint`` near ``base_point``.
+    """Submanifold of R^D cut out near ``base_point`` by the quadratic map
+    c(x) = const + linear x + x^T quad x.
 
-    ``hessian`` is the constant bilinear map (u, v) -> D^2c[u, v]; it is
-    exact for quadratic constraints and broadcasts over leading axes of u
-    and v.  ``intrinsic_dim`` may be omitted, in which case it is inferred
-    from the Jacobian rank at the base point.  ``spray``, when set, returns
-    the geodesic acceleration II(v, v) for a tangent v at p in closed form.
+    ``quad`` has shape (C, D, D), ``linear`` (C, D) and ``const`` (C,).
+    ``quad`` is symmetrized once, so ``constraint``, ``jacobian`` and the
+    constant ``hessian`` are views of one map and cannot disagree.
+    ``intrinsic_dim`` may be omitted, in which case it is inferred from the
+    Jacobian rank at the base point.  ``spray``, when set, returns the
+    geodesic acceleration II(v, v) for a tangent v at p in closed form.
     """
 
-    ambient_dim: int
-    constraint: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    quad: np.ndarray
+    linear: np.ndarray
+    const: np.ndarray
     base_point: np.ndarray
     intrinsic_dim: int | None = None
     name: str = ""
     spray: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        quad = np.asarray(self.quad, dtype=float)
+        self.linear = np.asarray(self.linear, dtype=float)
+        self.const = np.asarray(self.const, dtype=float)
         self.base_point = np.asarray(self.base_point, dtype=float)
-        if self.base_point.shape != (self.ambient_dim,):
-            raise ValueError("base_point shape does not match ambient_dim")
+        c_rows, d = self.linear.shape if self.linear.ndim == 2 else (-1, -1)
+        shapes = (quad.shape, self.linear.shape, self.const.shape, self.base_point.shape)
+        if shapes != ((c_rows, d, d), (c_rows, d), (c_rows,), (d,)):
+            raise ValueError(f"coefficient shapes {shapes} do not fit (C,D,D), (C,D), (C,), (D,)")
+        self.quad = 0.5 * (quad + quad.transpose(0, 2, 1))
+        # D^2c[u, v] = 2 u^T quad v, laid out [a, (c, b)] for two matrix products
+        self._hess_flat = 2.0 * self.quad.transpose(1, 0, 2).reshape(d, c_rows * d)
         residual = np.max(np.abs(self.constraint(self.base_point)))
         if residual > 1e-10:
             raise ValueError(f"base point violates the constraint (residual {residual:.2e})")
-        rank = _kernel(self, self.base_point)[0]
-        inferred = self.ambient_dim - rank
+        inferred = d - _kernel(self, self.base_point)[0]
         if self.intrinsic_dim is None:
             self.intrinsic_dim = inferred
         elif self.intrinsic_dim != inferred:
@@ -98,23 +108,25 @@ class ImplicitManifold:
             )
 
     @property
+    def ambient_dim(self) -> int:
+        return len(self.base_point)
+
+    @property
     def codim(self) -> int:
         return self.ambient_dim - self.intrinsic_dim
 
+    def constraint(self, y: np.ndarray) -> np.ndarray:
+        """c(y), shape (C,)."""
+        return self.const + self.linear @ y + np.einsum("cab,a,b->c", self.quad, y, y)
 
-@dataclass
-class GeodesicState:
-    """Position and unit velocity on a geodesic."""
+    def jacobian(self, y: np.ndarray) -> np.ndarray:
+        """Dc(y), shape (C, D)."""
+        return self.linear + 2.0 * np.einsum("cab,b->ca", self.quad, y)
 
-    position: np.ndarray
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        speed = np.linalg.norm(self.velocity)
-        if abs(speed - 1.0) > 1e-9:
-            raise ValueError(f"velocity must be unit (got |v| = {speed:.12g})")
+    def hessian(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The constant D^2c[u, v], broadcast over leading axes of u and v."""
+        shape = u.shape[:-1] + self.linear.shape
+        return ((u @ self._hess_flat).reshape(shape) @ v[..., None])[..., 0]
 
 
 def _kernel(manifold: ImplicitManifold, p: np.ndarray) -> tuple[int, np.ndarray]:
@@ -124,31 +136,29 @@ def _kernel(manifold: ImplicitManifold, p: np.ndarray) -> tuple[int, np.ndarray]
     return rank, vt[rank:]
 
 
-def _solve(
-    manifold: ImplicitManifold, jac: np.ndarray, rhs: np.ndarray, on_manifold: bool = True
-) -> np.ndarray:
-    """Minimum-norm solution of Dc(p) w = rhs, given jac = Dc(p); lies in its row space.
-
-    On the manifold the rank must equal the base-point rank; off it (Newton
-    and RK4 stage points) it need only be nonzero.
-    """
-    w, _, rank, _ = np.linalg.lstsq(jac, rhs, rcond=RANK_TOL)
+def _check_rank(manifold: ImplicitManifold, rank: int, on_manifold: bool = True) -> None:
+    """On the manifold the rank must equal the base-point rank; off it (Newton
+    and RK4 stage points) it need only be nonzero."""
     if rank == 0 or (on_manifold and rank != manifold.codim):
         raise SingularPointError(
             f"constraint rank {rank} at the query point differs from "
             f"base-point rank {manifold.codim}"
         )
+
+
+def _solve(
+    manifold: ImplicitManifold, jac: np.ndarray, rhs: np.ndarray, on_manifold: bool = True
+) -> np.ndarray:
+    """Minimum-norm solution of Dc(p) w = rhs, given jac = Dc(p); lies in its row space."""
+    w, _, rank, _ = np.linalg.lstsq(jac, rhs, rcond=RANK_TOL)
+    _check_rank(manifold, rank, on_manifold)
     return w
 
 
 def tangent_basis(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker Dc(p), shape (intrinsic_dim, D)."""
     rank, basis = _kernel(manifold, np.asarray(p, dtype=float))
-    if rank != manifold.codim:
-        raise SingularPointError(
-            f"constraint rank {rank} at the query point differs from "
-            f"base-point rank {manifold.codim}"
-        )
+    _check_rank(manifold, rank)
     return basis
 
 
@@ -228,13 +238,6 @@ def project_velocity(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -
     return v / speed
 
 
-def geodesic_state(manifold: ImplicitManifold, p: np.ndarray, u: np.ndarray) -> GeodesicState:
-    """Admissible initial state: p projected onto M, u projected and normalized."""
-    p = project_point(manifold, p)
-    u = project_velocity(manifold, p, u)
-    return GeodesicState(position=p, velocity=u)
-
-
 def _acceleration(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> np.ndarray:
     if manifold.spray is not None:
         return manifold.spray(p, v)
@@ -243,12 +246,16 @@ def _acceleration(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> n
 
 def integrate_geodesic(
     manifold: ImplicitManifold,
-    state: GeodesicState,
+    p: np.ndarray,
+    u: np.ndarray,
     length: float,
     step: float = 1e-3,
 ) -> DiscreteCurve:
-    """Integrate gamma'' = II(gamma', gamma') for the given arc length.
+    """Integrate gamma'' = II(gamma', gamma') for the given arc length from
+    p along u.
 
+    The start is made admissible first: p is projected onto the constraint
+    set, and u onto the tangent space there and normalized to unit speed.
     The step count is rounded so that the nominal step divides the length
     exactly.  After each full step the position is re-projected onto the
     constraint set and the velocity onto the tangent space (renormalized),
@@ -263,8 +270,8 @@ def integrate_geodesic(
         raise ValueError(f"step = {step!r}: expected a positive finite number")
     if not 0.0 <= length < math.inf:
         raise ValueError(f"length = {length!r}: expected a nonnegative finite number")
-    p = np.asarray(state.position, dtype=float).copy()
-    v = np.asarray(state.velocity, dtype=float).copy()
+    p = project_point(manifold, p)
+    v = project_velocity(manifold, p, u)
     if length == 0.0:
         return DiscreteCurve(np.asarray([p]), nominal_step=step)
     nsteps = max(1, int(round(length / step)))

@@ -30,7 +30,7 @@ inadmissible representative.
 
     {X o X = X, tr X = 1}   (in centered, scaled coordinates)
 
-as an ImplicitManifold with exact constant Hessian, which is how points,
+as an ImplicitManifold given by its coefficient tensors, which is how points,
 tangents, curvatures, and geodesics are computed uniformly over all four
 algebras, including the nonassociative one.
 """
@@ -396,10 +396,8 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
     """The scaled projection variety {X o X = X, tr X = 1} as an implicit
     manifold in flat coordinates.
 
-    The constraint is quadratic; its coefficient tensors are precomputed
-    once per space, so constraint and Jacobian are single einsum
-    evaluations, and the exact constant Hessian is two matrix products
-    through the quadratic tensor laid out as (D, C * D).
+    The constraint is quadratic: its coefficient tensors are precomputed
+    once per space and passed to the engine as they are.
 
     The geodesic spray is closed-form: with the flat Jordan product u o v =
     J v u, J = quad[:D] / 2, the uncentred idempotent P = sqrt(2) y + I/m
@@ -408,28 +406,16 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
     """
     quad, linear, const = _variety_tensors(spc.algebra.kind, spc.n)
     jordan = quad[: spc.flat_dim] / 2.0
-    c_rows, d = quad.shape[:2]
-    hess_flat = 2.0 * quad.transpose(1, 0, 2).reshape(d, c_rows * d)  # [a, (c, b)]
-
-    def constraint(y: np.ndarray) -> np.ndarray:
-        return const + linear @ y + np.einsum("cab,a,b->c", quad, y, y)
-
-    def jacobian(y: np.ndarray) -> np.ndarray:
-        return linear + 2.0 * np.einsum("cab,b->ca", quad, y)
-
-    def hessian(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return ((u @ hess_flat).reshape(u.shape[:-1] + (c_rows, d)) @ v[..., None])[..., 0]
 
     def spray(y: np.ndarray, v: np.ndarray) -> np.ndarray:
         w = jordan @ v @ v
         return 2.0 * SQRT2 * (1.0 - 2.0 / spc.m) * w - 8.0 * (jordan @ w @ y)
 
     return ImplicitManifold(
-        ambient_dim=spc.flat_dim,
-        constraint=constraint,
-        jacobian=jacobian,
-        hessian=hessian,
-        base_point=base_point(spc),
+        quad,
+        linear,
+        const,
+        base_point(spc),
         intrinsic_dim=spc.intrinsic_dim,
         name=spc.name,
         spray=spray,

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from normcurve import manifold, veronese
 from normcurve.cli import (
+    DEFAULTS,
     Claim,
     VerificationReport,
     check_circle_geodesics,
@@ -81,6 +83,15 @@ def test_config_unknown_key(tmp_path):
     missing_err = pytest.raises(FileNotFoundError)
     with missing_err:
         load_config(str(tmp_path / "absent.ini"))
+
+
+@pytest.mark.parametrize("name", ["bench.ini", "tiny.ini"])
+def test_benchmark_configs_load(name):
+    # the benchmark passes these files to ``verify``: a DEFAULTS change that
+    # drops or retypes one of their keys must fail here, not in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / name
+    cfg = load_config(str(path))
+    assert cfg.keys() == DEFAULTS.keys()
 
 
 def test_rigidity_suite_passes(small_config, tmp_path):
@@ -318,6 +329,25 @@ def test_dump_geodesic_out_of_memory_exits_two(monkeypatch, tmp_path, capsys, me
     argv = ["dump-geodesic", "rp2", "--length", "1e4", "--step", "1e-6", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "rigidity"],
+        ["dump-geodesic", "rp2"],
+        ["torus", "optimize", "--freqs", "FREQS"],
+    ],
+    ids=["verify", "dump-geodesic", "torus-optimize"],
+)
+def test_negative_seed_rejected(tmp_path, capsys, argv):
+    freqs = tmp_path / "freqs.txt"
+    freqs.write_text("1,0 1.2\n0,1 0.9\n1,1 1.0\n")  # n = 2: the search reads no seed
+    out = tmp_path / "out.txt"
+    argv = [str(freqs) if a == "FREQS" else a for a in argv]
+    assert main(argv + ["--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
     assert not out.exists()
 
 

@@ -75,9 +75,7 @@ def test_geodesic_samples_have_curvature_two():
     basis = manifold.tangent_basis(var, p)
     u = rng.standard_normal(len(basis)) @ basis
     u /= np.linalg.norm(u)
-    curve = manifold.integrate_geodesic(
-        var, manifold.geodesic_state(var, p, u), 1.0, step=1e-3
-    )
+    curve = manifold.integrate_geodesic(var, p, u, 1.0, step=1e-3)
     assert np.max(np.abs(discrete_curvature(curve) - 2.0)) <= 1e-5
 
 

@@ -9,10 +9,8 @@ import pytest
 from normcurve import veronese
 from normcurve.algebra import REAL
 from normcurve.manifold import (
-    GeodesicState,
     ImplicitManifold,
     SingularPointError,
-    geodesic_state,
     integrate_geodesic,
     mean_curvature_vector,
     normal_curvature,
@@ -30,37 +28,30 @@ def _outer(alg, v):
 
 
 def sphere_manifold(radius: float, dim: int = 3) -> ImplicitManifold:
+    # |x|^2 - r^2
     base = np.zeros(dim)
     base[0] = radius
-    return ImplicitManifold(
-        ambient_dim=dim,
-        constraint=lambda x: np.array([x @ x - radius**2]),
-        jacobian=lambda x: 2.0 * x[None, :],
-        hessian=lambda u, v: 2.0 * np.sum(u * v, axis=-1)[..., None],
-        base_point=base,
-    )
+    return ImplicitManifold(np.eye(dim)[None], np.zeros((1, dim)), [-(radius**2)], base)
 
 
 def plane_manifold() -> ImplicitManifold:
-    normal = np.array([0.0, 0.0, 1.0])
-    return ImplicitManifold(
-        ambient_dim=3,
-        constraint=lambda x: np.array([x @ normal]),
-        jacobian=lambda x: normal[None, :],
-        hessian=lambda u, v: np.zeros(np.shape(u)[:-1] + (1,)),
-        base_point=np.zeros(3),
-    )
+    # x2
+    return ImplicitManifold(np.zeros((1, 3, 3)), [[0.0, 0.0, 1.0]], [0.0], np.zeros(3))
 
 
 def cone_manifold() -> ImplicitManifold:
-    # smooth away from the apex; rank drops at the origin
+    # x0^2 + x1^2 - x2^2: smooth away from the apex; rank drops at the origin
     return ImplicitManifold(
-        ambient_dim=3,
-        constraint=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - x[2] ** 2]),
-        jacobian=lambda x: np.array([[2.0 * x[0], 2.0 * x[1], -2.0 * x[2]]]),
-        hessian=lambda u, v: 2.0 * np.sum(u * v * [1.0, 1.0, -1.0], axis=-1)[..., None],
-        base_point=np.array([1.0, 0.0, 1.0]),
+        np.diag([1.0, 1.0, -1.0])[None], np.zeros((1, 3)), [0.0], np.array([1.0, 0.0, 1.0])
     )
+
+
+def circle_manifold() -> ImplicitManifold:
+    # the circle {|x|^2 - 1 = 0, x2 = 0}: codim 2
+    quad = np.zeros((2, 3, 3))
+    quad[0] = np.eye(3)
+    linear = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return ImplicitManifold(quad, linear, [-1.0, 0.0], np.array([1.0, 0.0, 0.0]))
 
 
 def random_tangent(var, p, rng, count=1):
@@ -113,17 +104,10 @@ def test_singular_point_reported(query, args):
 
 
 def test_partial_rank_drop_reported():
-    # the circle {|x| = 1, x2 = 0} has codim 2; at (0, 0, 1) both constraint
-    # gradients point along e2, so the rank is 1: nonzero, yet not the base rank
-    var = ImplicitManifold(
-        ambient_dim=3,
-        constraint=lambda x: np.array([x @ x - 1.0, x[2]]),
-        jacobian=lambda x: np.array([2.0 * x, [0.0, 0.0, 1.0]]),
-        hessian=lambda u, v: np.array([2.0 * (u @ v), 0.0]),
-        base_point=np.array([1.0, 0.0, 0.0]),
-    )
+    # at (0, 0, 1) both constraint gradients of the circle point along e2, so
+    # the rank is 1: nonzero, yet not the base rank 2
     with pytest.raises(SingularPointError):
-        second_fundamental_form(var, np.array([0.0, 0.0, 1.0]), E1, E1)
+        second_fundamental_form(circle_manifold(), np.array([0.0, 0.0, 1.0]), E1, E1)
 
 
 def test_projection_through_zero_jacobian_reported():
@@ -135,18 +119,57 @@ def test_projection_through_zero_jacobian_reported():
 def test_declared_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="intrinsic_dim"):
         ImplicitManifold(
-            ambient_dim=3,
-            constraint=lambda x: np.array([x @ x - 1.0]),
-            jacobian=lambda x: 2.0 * x[None, :],
-            hessian=lambda u, v: np.array([2.0 * (u @ v)]),
-            base_point=np.array([1.0, 0.0, 0.0]),
-            intrinsic_dim=1,
+            np.eye(3)[None], np.zeros((1, 3)), [-1.0], np.array([1.0, 0.0, 0.0]), intrinsic_dim=1
         )
 
 
-def test_geodesic_state_velocity_must_be_unit():
-    with pytest.raises(ValueError, match="unit"):
-        GeodesicState(np.zeros(3), np.array([2.0, 0.0, 0.0]))
+@pytest.mark.parametrize(
+    "quad,linear,const,base",
+    [
+        (np.zeros((2, 3, 3)), np.zeros((1, 3)), [0.0], np.zeros(3)),  # quad rows
+        (np.zeros((1, 3, 2)), np.zeros((1, 3)), [0.0], np.zeros(3)),  # quad not square
+        (np.zeros((1, 3, 3)), np.zeros(3), [0.0], np.zeros(3)),  # linear not a matrix
+        (np.zeros((1, 3, 3)), np.zeros((1, 3)), [0.0, 0.0], np.zeros(3)),  # const rows
+        (np.zeros((1, 3, 3)), np.zeros((1, 3)), 0.0, np.zeros(3)),  # const a scalar
+        (np.zeros((1, 3, 3)), np.zeros((1, 3)), [0.0], np.zeros(2)),  # base dimension
+    ],
+    ids=["quad-rows", "quad-square", "linear-ndim", "const-rows", "const-scalar", "base-dim"],
+)
+def test_mismatched_coefficient_shapes_rejected(quad, linear, const, base):
+    with pytest.raises(ValueError, match="coefficient shapes"):
+        ImplicitManifold(quad, linear, const, base)
+
+
+def _random_quadratic_map(rng, c_rows, d, symmetric):
+    """A random quadratic map vanishing at a random base point."""
+    quad = rng.standard_normal((c_rows, d, d))
+    if symmetric:
+        quad = quad + quad.transpose(0, 2, 1)
+    linear = rng.standard_normal((c_rows, d))
+    base = rng.standard_normal(d)
+    const = -(linear @ base + np.einsum("cab,a,b->c", quad, base, base))
+    return ImplicitManifold(quad, linear, const, base)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+@pytest.mark.parametrize("c_rows,d", [(1, 3), (2, 5), (4, 6)])
+def test_quadratic_map_derivatives_agree(symmetric, c_rows, d):
+    # oracles: central differences of the constraint for the Jacobian, and the
+    # polarization c(x+u+v) - c(x+u) - c(x+v) + c(x) for the constant Hessian
+    rng = np.random.default_rng(58 + 7 * d + c_rows)
+    var = _random_quadratic_map(rng, c_rows, d, symmetric)
+    c = var.constraint
+    for x in rng.standard_normal((4, d)):
+        h = 1e-5
+        fd = np.array([(c(x + h * e) - c(x - h * e)) / (2.0 * h) for e in np.eye(d)]).T
+        jac = var.jacobian(x)
+        assert jac.shape == (c_rows, d)
+        assert np.max(np.abs(jac - fd)) <= 1e-8 * max(1.0, np.max(np.abs(jac)))
+        u, v = rng.standard_normal((2, d))
+        polar = c(x + u + v) - c(x + u) - c(x + v) + c(x)
+        scale = np.max(np.abs(polar))
+        assert np.max(np.abs(var.hessian(u, v) - polar)) <= 1e-12 * scale
+        assert np.max(np.abs(var.hessian(u, v) - var.hessian(v, u))) <= 1e-12 * scale
 
 
 # -- tangent dimensions on the projection varieties ---------------------------
@@ -458,9 +481,9 @@ def test_spray_geodesic_matches_least_squares_geodesic():
     var = veronese.variety(spc)
     rng = np.random.default_rng(55)
     p0 = veronese.sample_points(spc, 1, rng)[0]
-    state = geodesic_state(var, p0, random_tangent(var, p0, rng))
-    fast = integrate_geodesic(var, state, math.pi, step=1e-2)
-    slow = integrate_geodesic(dataclasses.replace(var, spray=None), state, math.pi, step=1e-2)
+    u = random_tangent(var, p0, rng)
+    fast = integrate_geodesic(var, p0, u, math.pi, step=1e-2)
+    slow = integrate_geodesic(dataclasses.replace(var, spray=None), p0, u, math.pi, step=1e-2)
     assert np.max(np.linalg.norm(fast.vertices - slow.vertices, axis=1)) <= 1e-9
 
 
@@ -469,16 +492,14 @@ def test_spray_geodesic_matches_least_squares_geodesic():
 
 def test_integrate_zero_length():
     var = sphere_manifold(0.5)
-    state = geodesic_state(var, var.base_point, np.array([0.0, 1.0, 0.0]))
-    curve = integrate_geodesic(var, state, 0.0)
+    curve = integrate_geodesic(var, var.base_point, np.array([0.0, 1.0, 0.0]), 0.0)
     assert curve.n_vertices == 1
-    assert np.array_equal(curve.vertices[0], state.position)
+    assert np.array_equal(curve.vertices[0], var.base_point)
 
 
 def test_integrate_sphere_great_circle():
     var = sphere_manifold(0.5)
-    state = geodesic_state(var, var.base_point, np.array([0.0, 1.0, 0.0]))
-    curve = integrate_geodesic(var, state, math.pi, step=1e-3)
+    curve = integrate_geodesic(var, var.base_point, np.array([0.0, 1.0, 0.0]), math.pi, step=1e-3)
     assert np.linalg.norm(curve.vertices[-1] - curve.vertices[0]) <= 1e-9
     from normcurve.curves import discrete_curvature
 
@@ -500,8 +521,7 @@ def test_integrate_matches_closed_form():
         w = w - np.einsum("pqk,ip,q->ik", alg.table, v, inner)
         w /= np.linalg.norm(w)
         circ = veronese.geodesic_circle(spc, v, w)
-        state = geodesic_state(var, circ(0.0), circ.velocity(0.0))
-        curve = integrate_geodesic(var, state, math.pi, step=1e-3)
+        curve = integrate_geodesic(var, circ(0.0), circ.velocity(0.0), math.pi, step=1e-3)
         ts = np.arange(curve.n_vertices) * curve.nominal_step
         assert np.max(np.linalg.norm(circ(ts) - curve.vertices, axis=1)) <= 1e-7
 
@@ -514,7 +534,7 @@ def test_integrate_constraint_drift_and_planarity():
     rng = np.random.default_rng(52)
     p0 = veronese.sample_points(spc, 1, rng)[0]
     u = random_tangent(var, p0, rng)
-    curve = integrate_geodesic(var, geodesic_state(var, p0, u), math.pi, step=1e-3)
+    curve = integrate_geodesic(var, p0, u, math.pi, step=1e-3)
     drift = max(np.max(np.abs(var.constraint(v))) for v in curve.vertices[::100])
     assert drift <= 1e-10
     assert planarity_residual(curve.vertices) <= 1e-8
