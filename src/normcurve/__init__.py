@@ -22,20 +22,17 @@ from .curves import (
     BowReport,
     DiscreteCurve,
     FaryReport,
-    Hyperplane,
     InvalidComparison,
     bow_check,
     discrete_curvature,
     fary_check,
     fit_circle,
     monotonicity_check,
-    reflect_concat,
 )
 from .flat_torus import (
     TorusEmbedding,
     curvature_bound,
     optimize_weights,
-    torus_normal_curvature,
     torus_worst_direction,
 )
 from .manifold import (
@@ -53,7 +50,6 @@ from .veronese import (
     VeroneseSpace,
     base_point,
     chordal_distance,
-    geodesic_circle,
     point_from_homogeneous,
     sample_points,
     simplex_circumradius,

@@ -639,6 +639,8 @@ def run_suite(
     """Execute a named suite (or 'all') and optionally write the report."""
     if name != "all" and name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     cfg = load_config(config_path)
     report = VerificationReport(
         suite=name,

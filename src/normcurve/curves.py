@@ -14,8 +14,6 @@ The module also provides:
   has endpoint distance no larger than any equally long curve of
   pointwise smaller (or equal) curvature, with planar congruence in the
   equality case.
-* ``reflect_concat`` -- reflection of an initial arc across a hyperplane
-  the curve is tangent to, keeping the curvature profile.
 * ``monotonicity_check`` -- the chord/tangent inner product of a
   length-pi/2 curve with curvature below 2, which must be positive.
 * ``fary_check`` -- average-curvature lower bound (>= 1) for closed
@@ -35,7 +33,6 @@ from .ball import min_enclosing_ball
 
 __all__ = [
     "DiscreteCurve",
-    "Hyperplane",
     "InvalidComparison",
     "BowReport",
     "FaryReport",
@@ -43,7 +40,6 @@ __all__ = [
     "turning_angles",
     "sample_circle_arc",
     "straight_segment",
-    "reflect_concat",
     "bow_check",
     "monotonicity_check",
     "fary_check",
@@ -178,66 +174,6 @@ def straight_segment(length: float, step: float, dim: int = 2) -> DiscreteCurve:
     direction[0] = 1.0
     pts = np.outer(h * np.arange(n + 1), direction)
     return DiscreteCurve(pts, nominal_step=h)
-
-
-# -- reflection surgery ------------------------------------------------------
-
-
-@dataclass
-class Hyperplane:
-    """Affine hyperplane {x : <normal, x> = offset} with unit normal."""
-
-    normal: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        self.normal = np.asarray(self.normal, dtype=float)
-        norm = np.linalg.norm(self.normal)
-        if norm == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        self.normal = self.normal / norm
-        self.offset = float(self.offset)
-
-    def signed_distance(self, points) -> np.ndarray:
-        return np.asarray(points, float) @ self.normal - self.offset
-
-    def reflect(self, points) -> np.ndarray:
-        points = np.asarray(points, float)
-        sd = self.signed_distance(points)
-        return points - 2.0 * np.outer(np.atleast_1d(sd), self.normal).reshape(points.shape)
-
-
-def reflect_concat(curve: DiscreteCurve, split_index: int, mirror: Hyperplane) -> DiscreteCurve:
-    """Reflect the initial arc across ``mirror`` and keep the tail.
-
-    The split vertex must lie on the mirror (within 1e-9) and the curve
-    must be tangent to the mirror there; for a polyline the adjacent edges
-    meet a tangent hyperplane at angle O(step * curvature), so the angle
-    tolerance is 2 * nominal_step.  Under these conditions
-    turning angles away from the split are exactly preserved (reflection
-    is an isometry) and the turning angle at the split does not increase.
-    """
-    if curve.closed:
-        raise InvalidComparison("reflection surgery applies to open curves")
-    angle_tol = 2.0 * curve.nominal_step
-    n = curve.n_vertices
-    if not 0 < split_index < n - 1:
-        raise ValueError("split_index must be interior")
-    split = curve.vertices[split_index]
-    if abs(mirror.signed_distance(split)) > 1e-9:
-        raise InvalidComparison("split vertex does not lie on the mirror hyperplane")
-    e_in = curve.vertices[split_index] - curve.vertices[split_index - 1]
-    e_out = curve.vertices[split_index + 1] - curve.vertices[split_index]
-    for e in (e_in, e_out):
-        if abs(float(e @ mirror.normal)) > angle_tol * np.linalg.norm(e):
-            raise InvalidComparison("curve is not tangent to the mirror at the split vertex")
-    head = mirror.reflect(curve.vertices[: split_index + 1])
-    new_vertices = np.vstack([head[:-1], curve.vertices[split_index:]])
-    return DiscreteCurve(
-        new_vertices,
-        nominal_step=curve.nominal_step,
-        edge_tol=max(curve.edge_tol, 4e-9),
-    )
 
 
 # -- endpoint comparison -----------------------------------------------------

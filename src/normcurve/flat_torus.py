@@ -14,7 +14,8 @@ the image with norm
 
 the closed-form normal curvature (each coordinate pair is an eigenfunction
 of the flat Laplacian, so the second derivative of block j is
--<k_j, u>^2 times the block).
+-<k_j, u>^2 times the block).  ``curvature_radius_products`` evaluates
+kappa(u) * R.
 
 The scale-invariant objective kappa(u) * R is bounded below by
 sqrt(3 n / (n + 2)) over all families and directions; the triangular
@@ -40,7 +41,6 @@ __all__ = [
     "TorusEmbedding",
     "DirectionSearch",
     "WeightOptimum",
-    "torus_normal_curvature",
     "curvature_radius_products",
     "torus_worst_direction",
     "optimize_weights",
@@ -96,19 +96,6 @@ class TorusEmbedding:
     def sphere_radius(self) -> float:
         return float(np.linalg.norm(self.weights))
 
-    @property
-    def embed_dim(self) -> int:
-        return 2 * len(self.freqs)
-
-    def embed(self, theta) -> np.ndarray:
-        """Map angles (..., n) to points (..., 2J); cos/sin pairs per frequency."""
-        theta = np.asarray(theta, dtype=float)
-        phases = theta @ self.freqs.T
-        out = np.empty(theta.shape[:-1] + (self.embed_dim,))
-        out[..., 0::2] = self.weights * np.cos(phases)
-        out[..., 1::2] = self.weights * np.sin(phases)
-        return out
-
     def unit_direction(self, u) -> np.ndarray:
         """Rescale u to unit length in the torus metric, u^T G u computed as
         sum_j w_j^2 <k_j, u>^2: nonnegative terms, no cancellation when G is
@@ -118,13 +105,6 @@ class TorusEmbedding:
         if q <= 0.0:
             raise ValueError("direction must be nonzero")
         return u / math.sqrt(q)
-
-
-def torus_normal_curvature(torus: TorusEmbedding, u) -> float:
-    """Normal curvature along direction u (normalized to unit metric length)."""
-    q = torus.unit_direction(u)
-    slopes = torus.freqs @ q
-    return float(np.sqrt(np.sum(torus.weights**2 * slopes**4)))
 
 
 def curvature_radius_products(torus: TorusEmbedding, dirs: np.ndarray) -> np.ndarray:
@@ -139,11 +119,10 @@ def curvature_radius_products(torus: TorusEmbedding, dirs: np.ndarray) -> np.nda
 
 @dataclass
 class DirectionSearch:
-    """Worst direction, its value kappa * R, and the number of candidates."""
+    """Worst direction, normalized to unit metric length, and its value kappa * R."""
 
     direction: np.ndarray
     value: float
-    grid_points: int
 
 
 def _fibonacci_hemisphere(count: int) -> np.ndarray:
@@ -200,6 +179,9 @@ def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionS
     a small weight makes one in u.  For a square family (J = n) Q is
     orthogonal and the maximum is R / min w exactly: [[-2, 1, -2], [1, -1, 0],
     [2, 2, 0]] with weights (1e-4, 1, 1) gives 14142.1 at grid 64.
+
+    Returns the direction u, rescaled to unit metric length, and kappa * R
+    there.
     """
     n, w2 = torus.n, torus.weights**2
     if n > 3:
@@ -229,7 +211,7 @@ def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionS
     best = int(np.argmax(f))
     u = np.linalg.solve(r, v[best])  # back to frequency coordinates
     value = math.sqrt(f[best] * w2.sum())
-    return DirectionSearch(torus.unit_direction(u), value, grid if n == 3 else len(v))
+    return DirectionSearch(torus.unit_direction(u), value)
 
 
 @dataclass

@@ -48,7 +48,6 @@ from .manifold import ImplicitManifold
 
 __all__ = [
     "VeroneseSpace",
-    "GeodesicCircle",
     "space",
     "space_from_name",
     "standard_planes",
@@ -57,7 +56,6 @@ __all__ = [
     "random_homogeneous",
     "random_frame",
     "sample_points",
-    "geodesic_circle",
     "chordal_distance",
     "simplex_circumradius",
     "variety",
@@ -276,62 +274,6 @@ def sample_points(spc: VeroneseSpace, count: int, rng: np.random.Generator) -> n
     """
     frames = [_flat_points(spc, random_frame(spc, rng)) for _ in range(-(-count // spc.m))]
     return np.reshape(frames, (-1, spc.flat_dim))[:count]
-
-
-# -- closed-form geodesics ---------------------------------------------------
-
-
-@dataclass
-class GeodesicCircle:
-    """Unit-speed closed geodesic t -> center + cos(2t) a + sin(2t) b.
-
-    The image is a planar circle of radius |a| = 1/2 traversed with period
-    pi; ``__call__`` accepts scalars or arrays of arc-length parameters.
-    """
-
-    center: np.ndarray
-    axis_a: np.ndarray
-    axis_b: np.ndarray
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        phase = 2.0 * t
-        return (
-            self.center
-            + np.multiply.outer(np.cos(phase), self.axis_a)
-            + np.multiply.outer(np.sin(phase), self.axis_b)
-        )
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        phase = 2.0 * t
-        return 2.0 * (
-            -np.multiply.outer(np.sin(phase), self.axis_a)
-            + np.multiply.outer(np.cos(phase), self.axis_b)
-        )
-
-
-def geodesic_circle(spc: VeroneseSpace, v, w) -> GeodesicCircle:
-    """Closed-form geodesic through the points of v and of cos t v + sin t w.
-
-    Requires v, w orthonormal (unit, Hermitian inner product zero, each to
-    1e-10) over an associative algebra; octonionic geodesics come from the
-    integrator on the ``variety`` instead.  The points of v, w and
-    (v + w)/sqrt(2) are the circle at t = 0, pi/2 and pi/4.
-    """
-    if spc.algebra.kind == "octonion":
-        raise ValueError("closed-form circles need an associative algebra; integrate instead")
-    v = _coerce_vector(spc, v)
-    w = _coerce_vector(spc, w)
-    for vec, label in ((v, "v"), (w, "w")):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-            raise ValueError(f"{label} must be a unit vector")
-    inner = _hermitian_dot(spc.algebra, v, w)
-    if np.max(np.abs(inner)) > 1e-10:
-        raise ValueError("v and w must be Hermitian-orthogonal")
-    x_v, x_w, x_s = _flat_points(spc, np.stack([v, w, (v + w) / SQRT2]))
-    center = (x_v + x_w) / 2.0
-    return GeodesicCircle(center=center, axis_a=(x_v - x_w) / 2.0, axis_b=x_s - center)
 
 
 # -- distances ---------------------------------------------------------------

