@@ -630,6 +630,11 @@ _SUITE_FUNCS = {
 }
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def run_suite(
     name: str,
     config_path: str | None = None,
@@ -639,8 +644,7 @@ def run_suite(
     """Execute a named suite (or 'all') and optionally write the report."""
     if name != "all" and name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_seed(seed)
     cfg = load_config(config_path)
     report = VerificationReport(
         suite=name,
@@ -673,6 +677,7 @@ def run_suite(
 
 def dump_geodesic(space_name: str, length: float, step: float, out_path: str, seed: int = 0) -> None:
     """Integrate one geodesic and write 's, x0, ..., x_{D-1}' rows."""
+    _check_seed(seed)
     spc = veronese.space_from_name(space_name)
     var = veronese.variety(spc)
     rng = np.random.default_rng([seed, 11])

@@ -21,10 +21,14 @@ second fundamental form
 involves no numerical differentiation.  Geodesics integrate the ODE
 gamma'' = II(gamma', gamma') with a classical 4th-order step followed by
 re-projection of the position onto the constraint set (Gauss-Newton) and
-of the velocity onto the tangent space.  The acceleration is a manifold's
-closed-form ``spray`` (p, v) -> II(v, v) if it has one, 2 sqrt(2) (1 - 2/m) w
-- 8 p o w with w = v o v on the Veronese varieties; the curvature queries
-always solve, so no claim they measure rests on the formula it would check.
+of the velocity onto the tangent space.  A manifold may carry two closed
+forms that replace solves in the integrator: the ``spray`` (p, v) -> II(v, v),
+2 sqrt(2) (1 - 2/m) w - 8 p o w with w = v o v on the Veronese varieties,
+and the ``tangent`` projection (p, v) -> tangent part of v, the Peirce
+projector 4 (L_P - L_P^2) of the idempotent P there.  With both, an RK4
+step makes no solve; without them each falls back to a least-squares call.
+The curvature queries always solve, so no claim they measure rests on the
+formula it would check.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ class ImplicitManifold:
     constant ``hessian`` are views of one map and cannot disagree.
     ``intrinsic_dim`` may be omitted, in which case it is inferred from the
     Jacobian rank at the base point.  ``spray``, when set, returns the
-    geodesic acceleration II(v, v) for a tangent v at p in closed form.
+    geodesic acceleration II(v, v) for a tangent v at p in closed form, and
+    ``tangent``, when set, the orthogonal projection of v onto the tangent
+    space at p; only the integrator uses them.
     """
 
     quad: np.ndarray
@@ -82,6 +88,7 @@ class ImplicitManifold:
     intrinsic_dim: int | None = None
     name: str = ""
     spray: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    tangent: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         quad = np.asarray(self.quad, dtype=float)
@@ -93,6 +100,7 @@ class ImplicitManifold:
         if shapes != ((c_rows, d, d), (c_rows, d), (c_rows,), (d,)):
             raise ValueError(f"coefficient shapes {shapes} do not fit (C,D,D), (C,D), (C,), (D,)")
         self.quad = 0.5 * (quad + quad.transpose(0, 2, 1))
+        self._quad_rows = self.quad.reshape(c_rows * d, d)  # quad y = (quad_rows y) as (C, D)
         # D^2c[u, v] = 2 u^T quad v, laid out [a, (c, b)] for two matrix products
         self._hess_flat = 2.0 * self.quad.transpose(1, 0, 2).reshape(d, c_rows * d)
         residual = np.max(np.abs(self.constraint(self.base_point)))
@@ -117,11 +125,11 @@ class ImplicitManifold:
 
     def constraint(self, y: np.ndarray) -> np.ndarray:
         """c(y), shape (C,)."""
-        return self.const + self.linear @ y + np.einsum("cab,a,b->c", self.quad, y, y)
+        return self.const + (self.linear + (self._quad_rows @ y).reshape(self.linear.shape)) @ y
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
         """Dc(y), shape (C, D)."""
-        return self.linear + 2.0 * np.einsum("cab,b->ca", self.quad, y)
+        return self.linear + 2.0 * (self._quad_rows @ y).reshape(self.linear.shape)
 
     def hessian(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The constant D^2c[u, v], broadcast over leading axes of u and v."""
@@ -228,10 +236,14 @@ def project_point(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
 
 
 def project_velocity(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project v onto the tangent space at p and renormalize to unit length."""
+    """Project v onto the tangent space at p and renormalize to unit length:
+    by the manifold's closed-form ``tangent`` if it has one, else by one solve."""
     v = np.asarray(v, dtype=float)
-    jac = manifold.jacobian(p)
-    v = v - _solve(manifold, jac, jac @ v)
+    if manifold.tangent is not None:
+        v = manifold.tangent(p, v)
+    else:
+        jac = manifold.jacobian(p)
+        v = v - _solve(manifold, jac, jac @ v)
     speed = np.linalg.norm(v)
     if speed == 0.0:
         raise ValueError("velocity projects to zero")

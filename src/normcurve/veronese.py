@@ -54,7 +54,6 @@ __all__ = [
     "point_from_homogeneous",
     "base_point",
     "random_homogeneous",
-    "random_frame",
     "sample_points",
     "chordal_distance",
     "simplex_circumradius",
@@ -166,12 +165,6 @@ def unflatten(vecs, algebra: Algebra, m: int) -> np.ndarray:
 # -- homogeneous vectors -----------------------------------------------------
 
 
-def _hermitian_dot(alg: Algebra, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i conj(u_i) * w_i, an algebra element."""
-    uc = u * alg.conj_signs
-    return np.einsum("pqk,ip,iq->k", alg.table, uc, w)
-
-
 def _coerce_vector(spc: VeroneseSpace, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (spc.m, spc.algebra.dim):
@@ -227,42 +220,57 @@ def random_homogeneous(spc: VeroneseSpace, rng: np.random.Generator) -> np.ndarr
     return v / np.linalg.norm(v)
 
 
-def random_frame(spc: VeroneseSpace, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal frame (m unit vectors, pairwise Hermitian-orthogonal).
+# Frames per block in ``sample_points``.  A block of k frames holds m k
+# vectors, and flattening them builds their (m k, m, m, dim) projections
+# and, on OP2, an (m k, m, m, dim^2) idempotency check: near 1 MB at 64
+# frames, where one block for a whole 1000-point OP2 cloud raised the
+# benchmark's peak RSS by 12%.
+_FRAME_BLOCK = 64
 
-    Gram-Schmidt over the algebra.  For the octonions the first vector has
-    a real entry and the completion uses standard basis columns, so every
-    product stays inside the associative subalgebra generated by the two
-    non-real entries and the resulting projections are exact idempotents.
+
+def _frame_norms(vs: np.ndarray) -> np.ndarray:
+    """The norm of each (m, dim) vector in vs, bit for bit that of
+    ``np.linalg.norm`` on one vector (a dot product each): Gram-Schmidt
+    amplifies a last-bit difference by the cancellation in each step."""
+    flat = vs.reshape(len(vs), 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(len(vs))
+
+
+def _random_frames(spc: VeroneseSpace, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` orthonormal frames (m unit vectors, pairwise Hermitian-
+    orthogonal), shape (count, m, m, dim).
+
+    Gram-Schmidt over the algebra, all frames at once.  The draws are those
+    of drawing the frames one by one: per frame, a unit vector from
+    ``random_homogeneous``, then m - 1 Gaussian vectors.  For the octonions
+    the first vector has a real entry and the completion uses standard basis
+    columns instead, so every product stays inside the associative
+    subalgebra generated by the two non-real entries and the resulting
+    projections are exact idempotents.
     """
     alg = spc.algebra
     m = spc.m
-    v0 = random_homogeneous(spc, rng)
     if alg.kind == "octonion":
-        anchor = int(np.argmax(np.linalg.norm(v0, axis=1)))
-        cols = [v0]
-        for j in range(m):
-            if j == anchor:
-                continue
-            e = np.zeros((m, alg.dim))
-            e[j, 0] = 1.0
-            cols.append(e)
+        cols = np.zeros((count, m, m, alg.dim))
+        for frame in cols:
+            frame[0] = random_homogeneous(spc, rng)
+            anchor = int(np.argmax(np.linalg.norm(frame[0], axis=1)))
+            frame[np.arange(1, m), np.delete(np.arange(m), anchor), 0] = 1.0
     else:
-        cols = [v0] + [alg.random(rng, (m,)) for _ in range(m - 1)]
+        cols = alg.random(rng, (count, m, m))
+        cols[:, 0] /= _frame_norms(cols[:, 0])[:, None, None]
 
-    frame = np.empty((m, m, alg.dim))
-    count = 0
-    for col in cols:
-        w = col.copy()
-        for i in range(count):
-            coeff = _hermitian_dot(alg, frame[i], w)
-            w = w - np.einsum("pqk,ip,q->ik", alg.table, frame[i], coeff)
-        norm = np.linalg.norm(w)
-        if norm < 1e-8:
+    frames = np.empty_like(cols)
+    for j in range(m):
+        w = cols[:, j]
+        for i in range(j):
+            coeff = np.einsum("pqk,fip,fiq->fk", alg.table, frames[:, i] * alg.conj_signs, w)
+            w = w - np.einsum("pqk,fip,fq->fik", alg.table, frames[:, i], coeff)
+        norm = _frame_norms(w)
+        if np.any(norm < 1e-8):
             raise RuntimeError("degenerate frame draw")
-        frame[count] = w / norm
-        count += 1
-    return frame
+        frames[:, j] = w / norm[:, None, None]
+    return frames
 
 
 def sample_points(spc: VeroneseSpace, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -272,8 +280,13 @@ def sample_points(spc: VeroneseSpace, count: int, rng: np.random.Generator) -> n
     centered images of a full frame sum to zero; the returned array holds
     the first ``count`` points, frame by frame.
     """
-    frames = [_flat_points(spc, random_frame(spc, rng)) for _ in range(-(-count // spc.m))]
-    return np.reshape(frames, (-1, spc.flat_dim))[:count]
+    frames = -(-count // spc.m)
+    points = np.empty((frames * spc.m, spc.flat_dim))
+    for start in range(0, frames, _FRAME_BLOCK):
+        block = _random_frames(spc, min(_FRAME_BLOCK, frames - start), rng)
+        vectors = block.reshape(-1, spc.m, spc.algebra.dim)
+        points[start * spc.m : start * spc.m + len(vectors)] = _flat_points(spc, vectors)
+    return points[:count]
 
 
 # -- distances ---------------------------------------------------------------
@@ -341,17 +354,32 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
     The constraint is quadratic: its coefficient tensors are precomputed
     once per space and passed to the engine as they are.
 
-    The geodesic spray is closed-form: with the flat Jordan product u o v =
-    J v u, J = quad[:D] / 2, the uncentred idempotent P = sqrt(2) y + I/m
-    and w = v o v, II(v, v) = 2 sqrt(2) (w - 2 P o w) = 2 sqrt(2) (1 - 2/m) w
-    - 8 y o w.  Only the integrator uses it; the curvature queries solve.
+    Two closed forms come from the flat Jordan product u o v = J v u,
+    J = quad[:D] / 2, at the uncentred idempotent P = sqrt(2) y + I/m.  The
+    geodesic spray, with w = v o v, is II(v, v) = 2 sqrt(2) (w - 2 P o w) =
+    2 sqrt(2) (1 - 2/m) w - 8 y o w.  The tangent space at a rank-one P is
+    the Peirce 1/2-space of L_P, so the tangent part of v is
+    4 (P o v - P o (P o v)), an orthogonal projector because L_P is
+    self-adjoint for the trace form.  Only the integrator uses them; the
+    curvature queries solve.
     """
     quad, linear, const = _variety_tensors(spc.algebra.kind, spc.n)
-    jordan = quad[: spc.flat_dim] / 2.0
+    d, m = spc.flat_dim, spc.m
+    jordan_rows = quad[:d].reshape(d * d, d) / 2.0
+    spray_w = 2.0 * SQRT2 * (1.0 - 2.0 / m)
+
+    def mult_by(y: np.ndarray) -> np.ndarray:
+        """The matrix of x -> y o x: one BLAS product over the (D^2, D) rows of J."""
+        return (jordan_rows @ y).reshape(d, d)
 
     def spray(y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w = jordan @ v @ v
-        return 2.0 * SQRT2 * (1.0 - 2.0 / spc.m) * w - 8.0 * (jordan @ w @ y)
+        w = mult_by(v) @ v
+        return spray_w * w - 8.0 * (mult_by(w) @ y)
+
+    def tangent(y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        l_p = SQRT2 * mult_by(y)  # L_P - I/m
+        pv = l_p @ v + v / m
+        return 4.0 * (pv - (l_p @ pv + pv / m))
 
     return ImplicitManifold(
         quad,
@@ -361,4 +389,5 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
         intrinsic_dim=spc.intrinsic_dim,
         name=spc.name,
         spray=spray,
+        tangent=tangent,
     )

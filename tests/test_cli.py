@@ -13,8 +13,10 @@ from normcurve.cli import (
     Claim,
     VerificationReport,
     check_circle_geodesics,
+    check_mean_curvature,
     check_normal_curvature,
     check_sectional_curvature,
+    dump_geodesic,
     load_config,
     main,
     render_report,
@@ -78,6 +80,13 @@ def test_unknown_suite_rejected():
 def test_run_suite_rejects_negative_seed():
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
         run_suite("rigidity", seed=-1)
+
+
+def test_dump_geodesic_rejects_negative_seed(tmp_path):
+    out = tmp_path / "geo.csv"
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        dump_geodesic("rp2", 1.0, 0.01, str(out), seed=-1)
+    assert not out.exists()
 
 
 def test_config_unknown_key(tmp_path):
@@ -277,18 +286,26 @@ def test_curvature_engines_solve_once_per_point(monkeypatch):
 
 
 def test_curvature_engines_never_use_the_spray(monkeypatch):
-    expected = (check_normal_curvature(60, 0), check_sectional_curvature(60, 0))
+    # C1, C5 and C6 measure through the solve, never the closed forms they would check
+    def engines():
+        return (
+            check_normal_curvature(60, 0),
+            check_mean_curvature(8, 0),
+            check_sectional_curvature(60, 0),
+        )
+
+    expected = engines()
     real = veronese.variety
 
-    def no_spray(p, v):
-        raise AssertionError("a curvature claim used the closed-form spray")
+    def closed_form_used(p, v):
+        raise AssertionError("a curvature claim used a closed-form spray or tangent")
 
     def variety(spc):
-        return dataclasses.replace(real(spc), spray=no_spray)
+        return dataclasses.replace(real(spc), spray=closed_form_used, tangent=closed_form_used)
 
     monkeypatch.setattr(veronese, "variety", variety)
-    assert (check_normal_curvature(60, 0), check_sectional_curvature(60, 0)) == expected
-    assert expected[0]["max_deviation"] <= 1e-8 and expected[1]["rp2_max_dev"] <= 1e-6
+    assert engines() == expected
+    assert expected[0]["max_deviation"] <= 1e-8 and expected[2]["rp2_max_dev"] <= 1e-6
 
 
 def test_circle_geodesics_coarse_step():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from circle_oracle import closed_form_circle, orthonormal_pair
 
-from normcurve import veronese
+from normcurve import manifold, veronese
 from normcurve.algebra import REAL
 from normcurve.manifold import (
     ImplicitManifold,
@@ -484,8 +484,57 @@ def test_spray_geodesic_matches_least_squares_geodesic():
     p0 = veronese.sample_points(spc, 1, rng)[0]
     u = random_tangent(var, p0, rng)
     fast = integrate_geodesic(var, p0, u, math.pi, step=1e-2)
-    slow = integrate_geodesic(dataclasses.replace(var, spray=None), p0, u, math.pi, step=1e-2)
+    solved = dataclasses.replace(var, spray=None, tangent=None)
+    slow = integrate_geodesic(solved, p0, u, math.pi, step=1e-2)
     assert np.max(np.linalg.norm(fast.vertices - slow.vertices, axis=1)) <= 1e-9
+
+
+# -- closed-form Peirce tangent projection ---------------------------------------
+
+
+@pytest.mark.parametrize("name", VARIETY_SPACES)
+def test_tangent_projection_matches_least_squares(name):
+    # oracle: v minus the minimum-norm solution of Dc(p) w = Dc(p) v
+    spc = veronese.space_from_name(name)
+    var = veronese.variety(spc)
+    rng = np.random.default_rng(58)
+    for p in veronese.sample_points(spc, 6, rng):
+        jac = var.jacobian(p)
+        for v in rng.standard_normal((4, var.ambient_dim)):
+            oracle = v - np.linalg.lstsq(jac, jac @ v, rcond=1e-8)[0]  # the engine's rank cut
+            assert np.linalg.norm(var.tangent(p, v) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("name", VARIETY_SPACES)
+def test_tangent_projection_is_idempotent_and_kills_normals(name):
+    spc = veronese.space_from_name(name)
+    var = veronese.variety(spc)
+    rng = np.random.default_rng(59)
+    for p in veronese.sample_points(spc, 4, rng):
+        t = var.tangent(p, rng.standard_normal(var.ambient_dim))
+        assert np.linalg.norm(var.tangent(p, t) - t) <= 1e-12 * np.linalg.norm(t)
+        jac = var.jacobian(p)
+        normal = rng.standard_normal(len(jac)) @ jac  # the row space of Dc(p)
+        assert np.linalg.norm(var.tangent(p, normal)) <= 1e-12 * np.linalg.norm(normal)
+
+
+def test_geodesic_projects_once_per_step(monkeypatch):
+    # the benchmark traces project_point and project_velocity through these
+    # module names; an integrator that bypassed them would leave its layers at 0
+    calls = {"project_point": 0, "project_velocity": 0}
+    for name in calls:
+        real = getattr(manifold, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(manifold, name, counted)
+    var = veronese.variety(veronese.space("complex", 2))
+    u = tangent_basis(var, var.base_point)[0]
+    curve = manifold.integrate_geodesic(var, var.base_point, u, 0.1, step=0.01)
+    assert curve.n_vertices == 11  # 10 steps
+    assert calls == {"project_point": 11, "project_velocity": 11}
 
 
 # -- geodesic integration ------------------------------------------------------

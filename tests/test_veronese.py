@@ -13,7 +13,6 @@ from normcurve.veronese import (
     chordal_distance,
     flatten_entries,
     point_from_homogeneous,
-    random_frame,
     random_homogeneous,
     sample_points,
     simplex_circumradius,
@@ -27,6 +26,33 @@ PLANES = veronese.standard_planes()
 def _outer(alg, v):
     """Entries v_i conj(v_j) of the rank-one matrix of v in A^m."""
     return np.einsum("pqk,ip,jq->ijk", alg.table, v, v * alg.conj_signs)
+
+
+def random_frame(spc, rng):
+    """Oracle for ``sample_points``: one orthonormal frame by Gram-Schmidt,
+    drawing from rng as the sampler draws one frame."""
+    alg = spc.algebra
+    m = spc.m
+    v0 = random_homogeneous(spc, rng)
+    if alg.kind == "octonion":
+        anchor = int(np.argmax(np.linalg.norm(v0, axis=1)))
+        cols = [v0]
+        for j in range(m):
+            if j == anchor:
+                continue
+            e = np.zeros((m, alg.dim))
+            e[j, 0] = 1.0
+            cols.append(e)
+    else:
+        cols = [v0] + [alg.random(rng, (m,)) for _ in range(m - 1)]
+
+    frame = []
+    for w in cols:
+        for u in frame:
+            coeff = np.einsum("pqk,ip,iq->k", alg.table, u * alg.conj_signs, w)
+            w = w - np.einsum("pqk,ip,q->ik", alg.table, u, coeff)
+        frame.append(w / np.linalg.norm(w))
+    return np.array(frame)
 
 
 def test_space_validation():
@@ -112,8 +138,7 @@ def test_octonionic_chart_accepted():
 @pytest.mark.parametrize("spc", PLANES, ids=lambda s: s.name)
 def test_frames_are_orthonormal_and_balanced(spc):
     rng = np.random.default_rng(36)
-    frame = random_frame(spc, rng)
-    pts = np.array([point_from_homogeneous(spc, frame[k]) for k in range(spc.m)])
+    pts = sample_points(spc, spc.m, rng)
     # pairwise chordal distance 1 (orthogonal representatives)
     for i in range(spc.m):
         for j in range(i + 1, spc.m):
@@ -131,11 +156,14 @@ def test_sample_points_shape():
 
 @pytest.mark.parametrize("name", ["rp1", "cp1", "rp2", "cp2", "hp2", "op2", "hp3"])
 def test_sample_points_match_per_frame_oracle(name):
-    # oracle: each frame vector through a test-local outer product and flatten
+    # oracle: frame by frame, each vector through a test-local outer product and flatten
     spc = space_from_name(name)
     identity = np.zeros((spc.m, spc.m, spc.algebra.dim))
     identity[np.arange(spc.m), np.arange(spc.m), 0] = 1.0
-    for count in (2 * spc.m, 2 * spc.m + 1):  # whole frames, then a partial one
+    counts = [2 * spc.m, 2 * spc.m + 1]  # whole frames, then a partial one
+    if name in ("rp2", "op2"):
+        counts.append(veronese._FRAME_BLOCK * spc.m + 1)  # one point into a second block
+    for count in counts:
         rng, oracle_rng = np.random.default_rng(56), np.random.default_rng(56)
         pts = sample_points(spc, count, rng)
         expected = []
