@@ -64,6 +64,10 @@ DEFAULTS: dict[str, dict[str, int | float]] = {
     },
 }
 
+# Counts whose least valid value is above 1: a bow arc of one edge has no
+# turning angle to compare.
+_MINIMUM_COUNTS = {("curves", "bow_edges"): 2}
+
 
 @dataclass
 class Claim:
@@ -136,8 +140,9 @@ def render_report(report: VerificationReport) -> str:
 def load_config(path: str | None) -> dict[str, dict[str, int | float]]:
     """The built-in config with the overrides of the INI file at ``path``.
 
-    Each override takes its default's type; a count must be at least 1 and
-    a step or tolerance positive and finite.
+    Each override takes its default's type; a count must be at least 1
+    (or its ``_MINIMUM_COUNTS`` entry) and a step or tolerance positive and
+    finite.
     """
     merged = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
@@ -153,13 +158,14 @@ def load_config(path: str | None) -> dict[str, dict[str, int | float]]:
             if key not in merged[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
             kind = type(merged[section][key])
+            least = _MINIMUM_COUNTS.get((section, key), 1)
             try:
                 value = kind(text)
-                valid = value >= 1 if kind is int else 0.0 < value < math.inf
+                valid = value >= least if kind is int else 0.0 < value < math.inf
             except ValueError:
                 valid = False
             if not valid:
-                need = "an integer >= 1" if kind is int else "a positive finite number"
+                need = f"an integer >= {least}" if kind is int else "a positive finite number"
                 raise ValueError(f"[{section}] {key} = {text!r}: expected {need}")
             merged[section][key] = value
     return merged
@@ -377,21 +383,49 @@ def check_torus(directions: int, budget: int, n3_budget: int, n3_grid: int, seed
     }
 
 
+def _space_curve_trials(rng, trials: int, draw, after=lambda rng: None) -> list:
+    """Random trials whose curves come from one stacked
+    ``curves.random_space_curve`` call.
+
+    A trial draws ``draw(rng)``, which returns (turning, step, dim, extra),
+    then its curve's normal block, then ``after(rng)``.  Returns
+    (extra, curve, after's value) per trial, and leaves each curve and
+    ``rng`` as a trial-by-trial loop would.  When a trial's block runs out
+    (see ``random_space_curve``), ``rng`` goes back to its state after that
+    block, the trial is finished alone, and the later trials are drawn again.
+    """
+    done = []
+    while len(done) < trials:
+        drawn = []
+        for _ in range(trials - len(done)):
+            turning, step, dim, extra = draw(rng)
+            block = rng.standard_normal((len(turning) + 1, dim))
+            state = rng.bit_generator.state
+            drawn.append((turning, step, block, state, extra, after(rng)))
+        turning, steps, blocks, states, extras, afters = zip(*drawn)
+        batch = curves.random_space_curve(rng, np.array(turning), np.array(steps), rows=blocks)
+        done += zip(extras, batch, afters)
+        if len(batch) < len(drawn):
+            k = len(batch)
+            rng.bit_generator.state = states[k]
+            curve = curves.random_space_curve(rng, turning[k], steps[k], rows=blocks[k])
+            done.append((extras[k], curve, after(rng)))
+    return done
+
+
 def check_bow(trials: int, n_edges: int, seed: int) -> dict:
     """Randomized endpoint comparisons plus the two named instances."""
-    rng = np.random.default_rng([seed, 8])
-    violations = 0
-    for _ in range(trials):
+
+    def draw(rng):
         step = float(rng.uniform(0.005, 0.02))
         kappa_max = float(rng.uniform(0.5, 2.5))
         c1 = curves.random_convex_arc(rng, n_edges, step, kappa_max)
         theta1 = curves.turning_angles(c1)
         factor = curves.random_curvature_profile(rng, len(theta1), high=1.0)
-        dim = int(rng.choice([2, 3, 5]))
-        c2 = curves.random_space_curve(rng, factor * theta1, step, dim=dim)
-        report = curves.bow_check(c1, c2)
-        if not report.inequality_holds:
-            violations += 1
+        return factor * theta1, step, int(rng.choice([2, 3, 5])), c1
+
+    pairs = _space_curve_trials(np.random.default_rng([seed, 8]), trials, draw)
+    violations = sum(not curves.bow_check(c1, c2).inequality_holds for c1, c2, _ in pairs)
 
     h = (math.pi / 2.0) / 300
     half = curves.sample_circle_arc(0.5, math.pi / 2.0, h)
@@ -431,21 +465,21 @@ def check_fary(trials: int, step: float, seed: int) -> dict:
 
 def check_monotonicity(trials: int, seed: int) -> dict:
     """Positivity of the chord/tangent inner product under curvature < 2."""
-    rng = np.random.default_rng([seed, 10])
     n_edges = 157
     h = (math.pi / 2.0) / n_edges
-    min_value = np.inf
-    positives = 0
-    for _ in range(trials):
+
+    def draw(rng):
         profile = curves.random_curvature_profile(rng, n_edges - 1, high=1.9)
-        curve = curves.random_space_curve(rng, profile * h, h, dim=3)
-        t0 = int(rng.integers(0, curve.n_vertices))
-        value = curves.monotonicity_check(curve, t0)
-        min_value = min(min_value, value)
-        positives += value > 0.0
+        return profile * h, h, 3, None
+
+    def start(rng):
+        return int(rng.integers(0, n_edges + 1))  # a vertex of the curve
+
+    runs = _space_curve_trials(np.random.default_rng([seed, 10]), trials, draw, start)
+    values = [curves.monotonicity_check(curve, t0) for _, curve, t0 in runs]
     return {
-        "success_ratio": positives / trials,
-        "min_value": float(min_value),
+        "success_ratio": sum(value > 0.0 for value in values) / trials,
+        "min_value": float(min(values)),
     }
 
 

@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normcurve import manifold, veronese
+from normcurve import curves, manifold, veronese
 from normcurve.cli import (
     DEFAULTS,
     Claim,
     VerificationReport,
+    check_bow,
     check_circle_geodesics,
     check_mean_curvature,
+    check_monotonicity,
     check_normal_curvature,
     check_sectional_curvature,
     dump_geodesic,
@@ -198,6 +200,17 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: [{section}] {key} = ")
 
 
+def test_single_edge_bow_arc_rejected(tmp_path, capsys):
+    # one edge has no turning angle: the config names the key and its floor
+    bad = tmp_path / "bow.ini"
+    bad.write_text("[curves]\nbow_edges = 1\n")
+    assert main(["verify", "curves", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: [curves] bow_edges = '1': expected an integer >= 2\n"
+    bad.write_text("[curves]\nbow_edges = 2\n")
+    assert load_config(str(bad))["curves"]["bow_edges"] == 2
+    assert check_bow(trials=5, n_edges=2, seed=0)["success_ratio"] == 1.0
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # a step of 5 along a length-10 geodesic leaves the variety: ProjectionError
     out = str(tmp_path / "geo.csv")
@@ -224,6 +237,66 @@ def test_failing_claim_exits_one(monkeypatch, small_config):
     # the suite looks the engine up at call time, so the patched one runs
     monkeypatch.setattr(cli_module, "check_rigidity_arithmetic", off_by_one)
     assert main(["verify", "rigidity", "--config", small_config]) == 1
+
+
+def _bow_per_trial(trials: int, n_edges: int, seed: int, dims: list) -> dict:
+    # oracle: the trial-by-trial engine, one random_space_curve call a trial;
+    # the dim of each trial goes to ``dims``
+    rng = np.random.default_rng([seed, 8])
+    violations = 0
+    for _ in range(trials):
+        step = float(rng.uniform(0.005, 0.02))
+        kappa_max = float(rng.uniform(0.5, 2.5))
+        c1 = curves.random_convex_arc(rng, n_edges, step, kappa_max)
+        theta1 = curves.turning_angles(c1)
+        factor = curves.random_curvature_profile(rng, len(theta1), high=1.0)
+        dims.append(int(rng.choice([2, 3, 5])))
+        c2 = curves.random_space_curve(rng, factor * theta1, step, dim=dims[-1])
+        report = curves.bow_check(c1, c2)
+        if not report.inequality_holds:
+            violations += 1
+
+    h = (math.pi / 2.0) / 300
+    half = curves.sample_circle_arc(0.5, math.pi / 2.0, h)
+    segment = curves.straight_segment(math.pi / 2.0, h)
+    named = curves.bow_check(half, segment)
+
+    quarter = curves.sample_circle_arc(1.0, math.pi / 2.0, h)
+    self_report = curves.bow_check(quarter, quarter)
+    return {
+        "success_ratio": (trials - violations) / trials,
+        "half_circle_gap": named.endpoint_gap_1,
+        "segment_gap": named.endpoint_gap_2,
+        "rigidity_detected": self_report.rigidity_detected,
+    }
+
+
+def _monotonicity_per_trial(trials: int, seed: int) -> dict:
+    # oracle: the trial-by-trial engine
+    rng = np.random.default_rng([seed, 10])
+    n_edges = 157
+    h = (math.pi / 2.0) / n_edges
+    min_value = np.inf
+    positives = 0
+    for _ in range(trials):
+        profile = curves.random_curvature_profile(rng, n_edges - 1, high=1.9)
+        curve = curves.random_space_curve(rng, profile * h, h, dim=3)
+        t0 = int(rng.integers(0, curve.n_vertices))
+        value = curves.monotonicity_check(curve, t0)
+        min_value = min(min_value, value)
+        positives += value > 0.0
+    return {
+        "success_ratio": positives / trials,
+        "min_value": float(min_value),
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_curve_engines_match_per_trial_loops(seed):
+    dims = []
+    assert check_bow(trials=20, n_edges=40, seed=seed) == _bow_per_trial(20, 40, seed, dims)
+    assert set(dims) == {2, 3, 5}
+    assert check_monotonicity(trials=15, seed=seed) == _monotonicity_per_trial(15, seed)
 
 
 def _sectional_per_sample(samples: int, seed: int) -> dict:

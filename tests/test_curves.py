@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from circle_oracle import closed_form_circle, orthonormal_pair
+from normcurve import veronese
+from normcurve.cli import _space_curve_trials
 from normcurve.curves import (
     _harmonic_tables,
+    _row_norms,
     DiscreteCurve,
     InvalidComparison,
     bow_check,
@@ -302,6 +306,67 @@ def test_fary_equality_only_for_great_circles():
 # -- circle fitting ---------------------------------------------
 
 
+def _thin_svd_fit_circle(points):
+    """The thin-SVD ``fit_circle`` that the QR-first one replaced."""
+    mean = points.mean(axis=0)
+    centered = points - mean
+    plane = np.linalg.svd(centered, full_matrices=False)[2][:2]
+    xy = centered @ plane.T
+    a = np.column_stack([2.0 * xy, np.ones(len(xy))])
+    sol, *_ = np.linalg.lstsq(a, np.einsum("ij,ij->i", xy, xy), rcond=None)
+    radius = math.sqrt(max(sol[2] + float(sol[:2] @ sol[:2]), 0.0))
+    residual = float(np.sqrt(np.mean((np.linalg.norm(xy - sol[:2], axis=1) - radius) ** 2)))
+    return mean + sol[:2] @ plane, radius, residual
+
+
+def _thin_svd_planarity(points):
+    s = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return 0.0 if s.size < 3 or s[0] == 0.0 else float(s[2] / s[0])
+
+
+def _assert_matches_thin_svd(points):
+    center, radius, residual = fit_circle(points)
+    want_center, want_radius, want_residual = _thin_svd_fit_circle(points)
+    assert np.max(np.abs(center - want_center)) <= 1e-12
+    assert abs(radius - want_radius) <= 1e-12
+    assert abs(residual - want_residual) <= 1e-12
+    assert abs(planarity_residual(points) - _thin_svd_planarity(points)) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "quaternion"])
+def test_qr_first_fits_match_thin_svd_on_geodesic_circles(field):
+    spc = veronese.space(field, 2)
+    point, _ = closed_form_circle(spc, *orthonormal_pair(spc, np.random.default_rng(83)))
+    _assert_matches_thin_svd(point(np.linspace(0.0, math.pi, 3142, endpoint=False)))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 27])
+def test_qr_first_fits_match_thin_svd_on_near_planar_clouds(dim):
+    rng = np.random.default_rng(84 + dim)
+    for noise in (0.0, 1e-9, 1e-6, 1e-3):
+        frame, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
+        ts = rng.uniform(0.0, 2.0 * math.pi, 500)
+        cloud = 0.7 * np.column_stack([np.cos(ts), np.sin(ts)]) @ frame.T
+        _assert_matches_thin_svd(cloud + rng.standard_normal(dim) + noise * rng.standard_normal(cloud.shape))
+
+
+def test_planarity_residual_zero_below_three_dimensions():
+    rng = np.random.default_rng(85)
+    for dim in (1, 2):
+        cloud = rng.standard_normal((50, dim))
+        assert planarity_residual(cloud) == _thin_svd_planarity(cloud) == 0.0
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_row_norms_match_numpy_bit_for_bit(dim):
+    # a numpy change to the norm's summation order shows up here
+    rng = np.random.default_rng(86 + dim)
+    for scale in (1.0, 1e-3, 1e100, 1e-160):
+        for n in (1, 2, 7, 100, 4096):
+            x = scale * rng.standard_normal((n, dim))
+            assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
+
+
 def test_fit_circle_exact():
     ts = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
     pts3 = np.column_stack(
@@ -403,3 +468,65 @@ def test_closed_curve_tables_cached_and_exact():
     second = random_closed_curve(np.random.default_rng(79))
     assert np.array_equal(first.vertices, second.vertices)
     assert first.nominal_step == second.nominal_step
+
+
+class _ScriptedStream(_ScriptedNormals):
+    """``_ScriptedNormals`` whose ``bit_generator.state`` is the count of
+    rows served, so a rewind serves them again."""
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.served
+
+    @state.setter
+    def state(self, served):
+        self.served = served
+
+
+def test_stacked_trials_rewind_to_a_redraw():
+    n, dim, trials = 5, 3, 4
+    turning = np.full(n, 0.1)
+    # per trial: its block of n + 1 rows, then one row drawn after its curve
+    rows = np.random.default_rng(87).standard_normal((trials * (n + 2) + 1, dim))
+    rows[n + 2] = [1.0, 0.0, 0.0]  # trial 1 starts along e1 ...
+    rows[n + 3] = [2.0, 0.0, 0.0]  # ... and its first normal row is parallel
+
+    sequential, expected = _ScriptedStream(rows), []
+    for _ in range(trials):
+        expected.append(random_space_curve(sequential, turning, 0.01))
+        expected.append(sequential.standard_normal(dim))
+    assert sequential.served == len(rows)
+
+    stacked = _ScriptedStream(rows)
+    got = _space_curve_trials(
+        stacked, trials, lambda rng: (turning, 0.01, dim, None), lambda rng: rng.standard_normal(dim)
+    )
+    assert stacked.served == sequential.served
+    assert len(got) == trials
+    for k, (_, curve, after) in enumerate(got):
+        assert np.array_equal(curve.vertices, expected[2 * k].vertices)
+        assert np.array_equal(after, expected[2 * k + 1])
+
+    # the stacked call alone stops before the trial that ran out
+    blocks = [rows[k * (n + 2) : k * (n + 2) + n + 1] for k in range(trials)]
+    stacked = random_space_curve(None, np.tile(turning, (trials, 1)), np.full(trials, 0.01), rows=blocks)
+    assert len(stacked) == 1
+
+
+def test_stacked_space_curves_pad_every_dim_exactly():
+    rng = np.random.default_rng(88)
+    h = (math.pi / 2.0) / 120
+    dims = [2, 5, 3, 3, 2, 5]
+    turning = np.array([random_curvature_profile(rng, 119, high=1.9) * h for _ in dims])
+    steps = rng.uniform(0.005, 0.02, len(dims))
+    blocks = [rng.standard_normal((120, d)) for d in dims]
+    stacked = random_space_curve(None, turning, steps, rows=blocks)
+    assert len(stacked) == len(dims)
+    for curve, t, step, block in zip(stacked, turning, steps, blocks):
+        single = random_space_curve(None, t, step, rows=block)
+        assert curve.dim == block.shape[1] and curve.nominal_step == step
+        assert np.array_equal(curve.vertices, single.vertices)
