@@ -63,7 +63,8 @@ def min_enclosing_ball(points, tol: float = 1e-6, max_iter: int | None = None) -
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter is None:
-        max_iter = min(int(np.ceil(2.0 / tol)), 200_000)
+        # compared before rounding: 2/tol overflows to inf at a denormal tol
+        max_iter = 200_000 if 2.0 / tol > 200_000 else math.ceil(2.0 / tol)
 
     origin = points.mean(axis=0)
     shifted = points - origin

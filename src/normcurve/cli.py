@@ -142,19 +142,28 @@ def load_config(path: str | None) -> dict[str, dict[str, int | float]]:
 
     Each override takes its default's type; a count must be at least 1
     (or its ``_MINIMUM_COUNTS`` entry) and a step or tolerance positive and
-    finite.
+    finite.  A file that ``configparser`` rejects (a repeated key, no
+    section header), or one with keys under ``[DEFAULT]``, raises a
+    one-line ``ValueError``.
     """
     merged = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
         return merged
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file {path!r} not found")
-    for section in parser.sections():
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file {path!r} not found")
+        if parser.defaults():
+            # configparser would copy these into every section
+            keys = ", ".join(parser.defaults())
+            raise ValueError(f"config keys under [DEFAULT] are not read: {keys}")
+        overrides = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path!r}: {' '.join(str(exc).split())}") from None
+    for section, items in overrides.items():
         if section not in merged:
             raise ValueError(f"unknown config section [{section}]")
-        for key, text in parser.items(section):
+        for key, text in items:
             if key not in merged[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
             kind = type(merged[section][key])

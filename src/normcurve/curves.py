@@ -163,6 +163,15 @@ def discrete_curvature(curve: DiscreteCurve) -> np.ndarray:
     return turning_angles(curve) / curve.nominal_step
 
 
+def _step_count(length: float, step: float) -> int:
+    """The integer nearest length / step, or a ValueError naming both when
+    the quotient overflows (a denormal step, say)."""
+    count = length / step
+    if count == math.inf:
+        raise ValueError(f"length / step = {length!r} / {step!r}: too many steps to count")
+    return round(count)
+
+
 def sample_circle_arc(
     radius: float, arc_length: float | None, step: float, closed: bool = False
 ) -> DiscreteCurve:
@@ -173,13 +182,13 @@ def sample_circle_arc(
     """
     if closed:
         total = 2.0 * math.pi * radius
-        n = max(3, int(round(total / step)))
+        n = max(3, _step_count(total, step))
         h = total / n
         phis = 2.0 * math.pi * np.arange(n) / n
     else:
         if arc_length is None:
             raise ValueError("open arcs need arc_length")
-        n = max(1, int(round(arc_length / step)))
+        n = max(1, _step_count(arc_length, step))
         h = arc_length / n
         phis = (h / radius) * np.arange(n + 1)
     pts = radius * np.column_stack([np.cos(phis), np.sin(phis)])
@@ -188,7 +197,7 @@ def sample_circle_arc(
 
 
 def straight_segment(length: float, step: float, dim: int = 2) -> DiscreteCurve:
-    n = max(1, int(round(length / step)))
+    n = max(1, _step_count(length, step))
     h = length / n
     direction = np.zeros(dim)
     direction[0] = 1.0
@@ -208,14 +217,34 @@ class BowReport:
     alignment_residual: float
 
 
+# Rows per QR call in ``_centered_factor``, whose docstring says why.
+_QR_BLOCK = 256
+
+
 def _centered_factor(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mean of an (N, D) cloud, the centered cloud, and the triangular
     factor R of its QR decomposition.  R has the centered cloud's singular
     values and right singular vectors, and an SVD of it costs D x D, not
-    N x D; the Gram matrix would square the ratios read from them."""
+    N x D; the Gram matrix would square the ratios read from them.
+
+    R is built block by block, the sequential form of TSQR (Demmel, Grigori,
+    Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012): the first
+    ``_QR_BLOCK`` rows are factored, then R stacked on the next block, until
+    the rows run out.  One LAPACK call on a whole (1048, D) geodesic of C3
+    runs multithreaded in OpenBLAS from D = 9 (9,432 entries; D = 6's 6,288
+    stay on one thread).  On 2 vCPUs its worker thread then spun for 0.28 s
+    of CPU per C3 pass at ``perfbench/bench.ini`` and 0.47 s at the built-in
+    config, and with the other core busy each such call took 50-150 ms,
+    where the blocked form takes about 1 ms.  The blocked calls see at most
+    (256 + D) x D entries, 7,641 at D = 27, and wake no worker.  A cloud of
+    at most ``_QR_BLOCK`` rows is one call, bit for bit the unblocked
+    factor."""
     mean = points.mean(axis=0)
     centered = points - mean
-    return mean, centered, np.linalg.qr(centered, mode="r")
+    factor = np.linalg.qr(centered[:_QR_BLOCK], mode="r")
+    for start in range(_QR_BLOCK, len(centered), _QR_BLOCK):
+        factor = np.linalg.qr(np.vstack([factor, centered[start : start + _QR_BLOCK]]), mode="r")
+    return mean, centered, factor
 
 
 def planarity_residual(points) -> float:
@@ -616,7 +645,10 @@ def random_closed_curve(
         total = float(s_even[-1])
 
         h_eff = step_target * min(1.0, 0.75 * radius_est)
-        n = int(np.clip(round(total / h_eff), 64, 40000))
+        count = total / h_eff
+        if count == math.inf:
+            raise ValueError(f"step_target = {step_target!r}: too many vertices to count")
+        n = int(np.clip(round(count), 64, 40000))
         h = total / n
         targets = h * np.arange(n)
         forward = CubicSpline(u_even, s_even)

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import DiscreteCurve
+from .curves import DiscreteCurve, _step_count
 
 __all__ = [
     "ImplicitManifold",
@@ -286,7 +286,7 @@ def integrate_geodesic(
     v = project_velocity(manifold, p, u)
     if length == 0.0:
         return DiscreteCurve(np.asarray([p]), nominal_step=step)
-    nsteps = max(1, int(round(length / step)))
+    nsteps = max(1, _step_count(length, step))
     h = length / nsteps
     vertices = np.empty((nsteps + 1, manifold.ambient_dim))
     vertices[0] = p

@@ -33,6 +33,14 @@ def test_two_points():
     assert np.allclose(b.center, [1.0, 0.0], atol=1e-4)
 
 
+def test_denormal_tol_keeps_the_iteration_cap():
+    # 2/tol overflows to inf, which the default cap of 200 000 must survive;
+    # the square's mean is its centre, so the bounds meet before any step
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    b = min_enclosing_ball(square, tol=1e-320)
+    assert b.radius == 1.0 and b.iterations == 0 and b.converged
+
+
 def test_equilateral_triangle():
     pts = np.array(
         [[math.cos(a), math.sin(a)] for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]

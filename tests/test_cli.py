@@ -101,6 +101,68 @@ def test_config_unknown_key(tmp_path):
         load_config(str(tmp_path / "absent.ini"))
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        (
+            "[veronese]\npoints = 7\npoints = 7\n",
+            "While reading from 'PATH' [line 3]: option 'points' in section 'veronese' already exists",
+        ),
+        ("points = 7\n", "File contains no section headers. file: 'PATH', line: 1 'points = 7\\n'"),
+        ("[veronese]\npoints = 7%\n", "'%' must be followed by '%' or '(', found: '%'"),
+    ],
+    ids=["repeated-key", "no-section-header", "interpolation"],
+)
+def test_config_parser_errors_exit_two(tmp_path, capsys, text, err):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["verify", "veronese", "--config", str(path)]) == 2
+    err = err.replace("PATH", str(path))
+    assert capsys.readouterr().err == f"error: config file {str(path)!r}: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "text, keys",
+    [("[DEFAULT]\npoints = 7\n", "points"), ("[DEFAULT]\nball_tol = 0.5\n[veronese]\n", "ball_tol")],
+    ids=["only-default", "default-beside-veronese"],
+)
+def test_config_default_section_rejected(tmp_path, capsys, text, keys):
+    # configparser copies [DEFAULT] keys into every section, so none is read
+    path = tmp_path / "defaults.ini"
+    path.write_text(text)
+    assert main(["verify", "rigidity", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: config keys under [DEFAULT] are not read: {keys}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["dump-geodesic", "rp2", "--length", "1e300", "--step", "1e-300"],
+            "length / step = 1e+300 / 1e-300: too many steps to count",
+        ),
+        (
+            ["verify", "rigidity", "[rigidity]\ngeodesic_step = 1e-320\n"],
+            "length / step = 1.5707963267948966 / 1e-320: too many steps to count",
+        ),
+        (
+            ["verify", "curves", "[curves]\nfary_trials = 1\nfary_step = 1e-320\n"],
+            "step_target = 1e-320: too many vertices to count",
+        ),
+    ],
+    ids=["dump-geodesic", "geodesic_step", "fary_step"],
+)
+def test_overflowing_step_count_exits_two(tmp_path, capsys, argv, err):
+    out = tmp_path / "out.txt"
+    if argv[0] == "verify":
+        config = tmp_path / "tiny_step.ini"
+        config.write_text(argv[2])
+        argv = argv[:2] + ["--config", str(config)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["bench.ini", "tiny.ini"])
 def test_benchmark_configs_load(name):
     # the benchmark passes these files to ``verify``: a DEFAULTS change that

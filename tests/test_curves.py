@@ -1,14 +1,20 @@
 """Discrete curves: curvature, bow comparison, surgery, averaged bounds."""
 
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from circle_oracle import closed_form_circle, orthonormal_pair
-from normcurve import veronese
+from normcurve import curves, veronese
 from normcurve.cli import _space_curve_trials
 from normcurve.curves import (
+    _QR_BLOCK,
+    _centered_factor,
     _harmonic_tables,
     _row_norms,
     DiscreteCurve,
@@ -59,6 +65,18 @@ def test_circle_curvature_chord_sampling_matches_formula():
 def test_straight_segment_curvature_zero():
     seg = straight_segment(1.0, 1e-2, dim=3)
     assert np.max(np.abs(discrete_curvature(seg))) == 0.0
+
+
+def test_denormal_step_raises_naming_it():
+    # length / step overflows to inf: a ValueError, not an OverflowError
+    message = r"^length / step = 1\.0 / 1e-320: too many steps to count$"
+    for make in (
+        lambda: straight_segment(1.0, 1e-320),
+        lambda: sample_circle_arc(1.0, 1.0, 1e-320),
+        lambda: sample_circle_arc(1.0 / (2.0 * math.pi), None, 1e-320, closed=True),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_curvature_needs_three_vertices():
@@ -348,6 +366,73 @@ def test_qr_first_fits_match_thin_svd_on_near_planar_clouds(dim):
         ts = rng.uniform(0.0, 2.0 * math.pi, 500)
         cloud = 0.7 * np.column_stack([np.cos(ts), np.sin(ts)]) @ frame.T
         _assert_matches_thin_svd(cloud + rng.standard_normal(dim) + noise * rng.standard_normal(cloud.shape))
+
+
+@pytest.mark.parametrize(
+    "rows, dim",
+    [(n, d) for d in (3, 9, 27) for n in (3, 255, 256, 257, 512, 3142)] + [(8, 9), (26, 27)],
+)
+def test_blocked_factor_fits_match_thin_svd(rows, dim):
+    # 257 rows leave a one-row tail block; fewer rows than dim a trapezoidal R
+    rng = np.random.default_rng([87, rows, dim])
+    frame, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
+    ts = rng.uniform(0.0, 2.0 * math.pi, rows)
+    cloud = 0.5 * np.column_stack([np.cos(ts), np.sin(ts)]) @ frame.T
+    _assert_matches_thin_svd(cloud + rng.standard_normal(dim) + 1e-6 * rng.standard_normal(cloud.shape))
+
+
+@pytest.mark.parametrize("rows", [3, 121, _QR_BLOCK])
+def test_one_block_factor_is_the_unblocked_qr(rows):
+    # clouds of one block, bow_check's 121 rows among them, keep their bits
+    cloud = np.random.default_rng(88).standard_normal((rows, 5))
+    _, centered, factor = _centered_factor(cloud)
+    assert np.array_equal(factor, np.linalg.qr(centered, mode="r"))
+
+
+def _other_threads_cpu_ns() -> int:
+    main = threading.get_native_id()
+    total = 0
+    for task in os.listdir("/proc/self/task"):
+        if int(task) != main:
+            try:
+                with open(f"/proc/self/task/{task}/schedstat") as fh:
+                    total += int(fh.read().split()[0])
+            except FileNotFoundError:  # the thread exited
+                pass
+    return total
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not os.path.exists("/proc/self/schedstat"),
+    reason="reads per-thread CPU time from Linux /proc/self/task/*/schedstat",
+)
+@pytest.mark.parametrize("dim", [15, 27])
+def test_circle_fit_keeps_to_the_calling_thread(dim):
+    # one QR of a whole (1048, 15) cloud runs multithreaded in OpenBLAS and
+    # spins a worker thread on another core; neither fit may wake one
+    if len(os.listdir("/proc/self/task")) == 1:
+        pytest.skip("the process has only one thread, so no BLAS worker to wake")
+    rng = np.random.default_rng(89)
+    frame, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
+    ts = np.linspace(0.0, 2.0 * math.pi, 1048)
+    cloud = 0.5 * np.column_stack([np.cos(ts), np.sin(ts)]) @ frame.T
+    cloud += 1e-9 * rng.standard_normal(cloud.shape)
+
+    def run():
+        for _ in range(10):
+            curves.fit_circle(cloud)
+            curves.planarity_residual(cloud)
+
+    run()
+    for _ in range(60):  # let a worker that earlier tests woke go idle
+        before = _other_threads_cpu_ns()
+        time.sleep(0.05)
+        if _other_threads_cpu_ns() == before:
+            break
+    before = _other_threads_cpu_ns()
+    run()
+    gained_ms = (_other_threads_cpu_ns() - before) / 1e6
+    assert gained_ms == 0.0
 
 
 def test_planarity_residual_zero_below_three_dimensions():
