@@ -40,6 +40,7 @@ from .manifold import (
     ProjectionError,
     SingularPointError,
     integrate_geodesic,
+    integrate_geodesics,
     mean_curvature_vector,
     normal_curvature,
     second_fundamental_form,

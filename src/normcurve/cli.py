@@ -64,9 +64,13 @@ DEFAULTS: dict[str, dict[str, int | float]] = {
     },
 }
 
-# Counts whose least valid value is above 1: a bow arc of one edge has no
-# turning angle to compare.
-_MINIMUM_COUNTS = {("curves", "bow_edges"): 2}
+# Least valid values above the default floors (1 for a count, any positive
+# value for a step or tolerance).  A bow arc of one edge has no turning angle
+# to compare.  A ball tolerance below 1e-15 is finer than the rounding of the
+# ball's primal and dual bounds, so the ball may never certify and runs to its
+# iteration cap: two of C2's five clouds do at 2.2e-16, and at 1e-15 all five
+# close in 0 iterations.
+_FLOORS = {("curves", "bow_edges"): 2, ("veronese", "ball_tol"): 1e-15}
 
 
 @dataclass
@@ -140,9 +144,9 @@ def render_report(report: VerificationReport) -> str:
 def load_config(path: str | None) -> dict[str, dict[str, int | float]]:
     """The built-in config with the overrides of the INI file at ``path``.
 
-    Each override takes its default's type; a count must be at least 1
-    (or its ``_MINIMUM_COUNTS`` entry) and a step or tolerance positive and
-    finite.  A file that ``configparser`` rejects (a repeated key, no
+    Each override takes its default's type; a count must be at least 1 and
+    a step or tolerance positive and finite, or at least its ``_FLOORS``
+    entry.  A file that ``configparser`` rejects (a repeated key, no
     section header), or one with keys under ``[DEFAULT]``, raises a
     one-line ``ValueError``.
     """
@@ -167,14 +171,17 @@ def load_config(path: str | None) -> dict[str, dict[str, int | float]]:
             if key not in merged[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
             kind = type(merged[section][key])
-            least = _MINIMUM_COUNTS.get((section, key), 1)
+            floor = _FLOORS.get((section, key), 1 if kind is int else 0.0)
             try:
                 value = kind(text)
-                valid = value >= least if kind is int else 0.0 < value < math.inf
+                valid = value >= floor and (kind is int or 0.0 < value < math.inf)
             except ValueError:
                 valid = False
             if not valid:
-                need = f"an integer >= {least}" if kind is int else "a positive finite number"
+                if kind is int:
+                    need = f"an integer >= {floor}"
+                else:
+                    need = f"a finite number >= {floor:g}" if floor else "a positive finite number"
                 raise ValueError(f"[{section}] {key} = {text!r}: expected {need}")
             merged[section][key] = value
     return merged
@@ -228,25 +235,28 @@ def check_sphere_radius(points: int, ball_tol: float, seed: int) -> dict:
     }
 
 
-def _random_geodesic(var, p0, rng, length: float, step: float):
-    """Integrate the geodesic from p0 along a random unit tangent drawn from rng."""
+def _random_direction(var, p0, rng) -> np.ndarray:
+    """A random unit tangent at p0, drawn from rng."""
     basis = manifold.tangent_basis(var, p0)
     u = rng.standard_normal(len(basis)) @ basis
-    u /= np.linalg.norm(u)
-    return manifold.integrate_geodesic(var, p0, u, length, step=step)
+    return u / np.linalg.norm(u)
 
 
 def check_circle_geodesics(step: float, seed: int) -> dict:
-    """Closure, best-fit circle radius and planarity of length-pi geodesics."""
+    """Closure, best-fit circle radius and planarity of length-pi geodesics,
+    one per plane, integrated in lock step."""
     rng = np.random.default_rng([seed, 3])
+    varieties, starts, directions = [], [], []
+    for spc in veronese.standard_planes():
+        varieties.append(veronese.variety(spc))
+        starts.append(veronese.sample_points(spc, 1, rng)[0])
+        directions.append(_random_direction(varieties[-1], starts[-1], rng))
+    geodesics = manifold.integrate_geodesics(varieties, starts, directions, math.pi, step)
     max_closure = 0.0
     max_radius_dev = 0.0
     max_planarity = 0.0
     max_drift = 0.0
-    for spc in veronese.standard_planes():
-        var = veronese.variety(spc)
-        p0 = veronese.sample_points(spc, 1, rng)[0]
-        curve = _random_geodesic(var, p0, rng, math.pi, step)
+    for var, curve in zip(varieties, geodesics):
         closure = float(np.linalg.norm(curve.vertices[-1] - curve.vertices[0]))
         _, radius, _ = curves.fit_circle(curve.vertices)
         planar = curves.planarity_residual(curve.vertices)
@@ -285,7 +295,9 @@ def check_rigidity_arithmetic(step: float, seed: int) -> dict:
     spc = veronese.space("complex", 2)
     var = veronese.variety(spc)
     rng = np.random.default_rng([seed, 4])
-    curve = _random_geodesic(var, veronese.base_point(spc), rng, math.pi / 2.0, step)
+    p0 = veronese.base_point(spc)
+    u = _random_direction(var, p0, rng)
+    curve = manifold.integrate_geodesic(var, p0, u, math.pi / 2.0, step)
     half_chord = float(np.linalg.norm(curve.vertices[-1] - curve.vertices[0]))
     return {
         "chord_dev": chord_dev,
@@ -724,7 +736,9 @@ def dump_geodesic(space_name: str, length: float, step: float, out_path: str, se
     spc = veronese.space_from_name(space_name)
     var = veronese.variety(spc)
     rng = np.random.default_rng([seed, 11])
-    curve = _random_geodesic(var, veronese.base_point(spc), rng, length, step)
+    p0 = veronese.base_point(spc)
+    u = _random_direction(var, p0, rng)
+    curve = manifold.integrate_geodesic(var, p0, u, length, step)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s"] + [f"x{i}" for i in range(curve.dim)])

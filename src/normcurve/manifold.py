@@ -21,21 +21,24 @@ second fundamental form
 involves no numerical differentiation.  Geodesics integrate the ODE
 gamma'' = II(gamma', gamma') with a classical 4th-order step followed by
 re-projection of the position onto the constraint set (Gauss-Newton) and
-of the velocity onto the tangent space.  A manifold may carry two closed
-forms that replace solves in the integrator: the ``spray`` (p, v) -> II(v, v),
-2 sqrt(2) (1 - 2/m) w - 8 p o w with w = v o v on the Veronese varieties,
-and the ``tangent`` projection (p, v) -> tangent part of v, the Peirce
-projector 4 (L_P - L_P^2) of the idempotent P there.  With both, an RK4
-step makes no solve; without them each falls back to a least-squares call.
-The curvature queries always solve, so no claim they measure rests on the
-formula it would check.
+of the velocity onto the tangent space.  ``integrate_geodesics`` steps
+several geodesics in lock step over one zero-padded (K, W) array, one row
+each.  A manifold may carry the sparse structure constants of a flat
+Jordan product (``jordan``), as the Veronese varieties do; then two closed
+forms replace solves in the integrator: the spray II(v, v) =
+2 sqrt(2) (1 - 2/m) w - 8 p o w with w = v o v, and the tangent part of v,
+the Peirce projector 4 (L_P - L_P^2) of the idempotent P.  Each is one
+``np.bincount`` per Jordan product over the constants of every row at once,
+so an RK4 step makes no solve; a row without constants falls back to one
+least-squares call.  The curvature queries always solve, so no claim they
+measure rests on the formula it would check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .curves import DiscreteCurve, _step_count
 
 __all__ = [
     "ImplicitManifold",
+    "JordanConstants",
     "SingularPointError",
     "ProjectionError",
     "tangent_basis",
@@ -53,9 +57,11 @@ __all__ = [
     "project_point",
     "project_velocity",
     "integrate_geodesic",
+    "integrate_geodesics",
 ]
 
 RANK_TOL = 1e-8
+_SQRT2 = math.sqrt(2.0)
 
 
 class SingularPointError(RuntimeError):
@@ -64,6 +70,23 @@ class SingularPointError(RuntimeError):
 
 class ProjectionError(RuntimeError):
     """Gauss-Newton projection onto the constraint set failed to converge."""
+
+
+class JordanConstants(NamedTuple):
+    """The nonzero structure constants of a flat Jordan product on m-by-m
+    Hermitian matrices: (x o y)[out] is the sum of value * x[left] * y[right].
+
+    The indices address a flattened stack of rows.  A manifold's own
+    constants address one row; ``integrate_geodesics`` shifts the k-th row's
+    by k W in a (K, W) stack, and holds m as one number when the rows share
+    it, else as a (K, 1) column.
+    """
+
+    out: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    m: int | np.ndarray
 
 
 @dataclass(eq=False)  # identity equality: a generated __eq__ would compare arrays
@@ -75,10 +98,11 @@ class ImplicitManifold:
     ``quad`` is symmetrized once, so ``constraint``, ``jacobian`` and the
     constant ``hessian`` are views of one map and cannot disagree.
     ``intrinsic_dim`` may be omitted, in which case it is inferred from the
-    Jacobian rank at the base point.  ``spray``, when set, returns the
-    geodesic acceleration II(v, v) for a tangent v at p in closed form, and
-    ``tangent``, when set, the orthogonal projection of v onto the tangent
-    space at p; only the integrator uses them.
+    Jacobian rank at the base point.  ``jordan``, when set, holds the
+    constants of a flat Jordan product for which every point p makes
+    sqrt(2) p + I/m a rank-one idempotent, as on the Veronese varieties;
+    only the integrator and ``project_velocity`` read it, for the
+    closed-form spray and tangent projection.
     """
 
     quad: np.ndarray
@@ -87,8 +111,7 @@ class ImplicitManifold:
     base_point: np.ndarray
     intrinsic_dim: int | None = None
     name: str = ""
-    spray: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    tangent: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    jordan: JordanConstants | None = None
 
     def __post_init__(self):
         quad = np.asarray(self.quad, dtype=float)
@@ -237,23 +260,187 @@ def project_point(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
 
 def project_velocity(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project v onto the tangent space at p and renormalize to unit length:
-    by the manifold's closed-form ``tangent`` if it has one, else by one solve."""
-    v = np.asarray(v, dtype=float)
-    if manifold.tangent is not None:
-        v = manifold.tangent(p, v)
-    else:
-        jac = manifold.jacobian(p)
-        v = v - _solve(manifold, jac, jac @ v)
-    speed = np.linalg.norm(v)
-    if speed == 0.0:
+    by the Peirce projector if the manifold has Jordan constants, else by one
+    solve."""
+    p = np.asarray(p, dtype=float)[None]
+    v = np.asarray(v, dtype=float)[None]
+    return _unit_rows(_tangents([manifold], manifold.jordan, p, v))[0]
+
+
+def _jordan_product(jordan: JordanConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x o y row by row over a (K, W) stack: one bincount over the constants."""
+    terms = x.take(jordan.left)
+    terms *= jordan.value
+    terms *= y.take(jordan.right)
+    return np.bincount(jordan.out, terms, minlength=x.size).reshape(x.shape)
+
+
+def _jordan_spray(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """II(v, v) at P = sqrt(2) y + I/m for each row: with w = v o v,
+    2 sqrt(2) (w - 2 P o w) = 2 sqrt(2) (1 - 2/m) w - 8 y o w."""
+    w = _jordan_product(jordan, v, v)
+    return (2.0 * _SQRT2 * (1.0 - 2.0 / jordan.m)) * w - 8.0 * _jordan_product(jordan, y, w)
+
+
+def _peirce_tangent(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The tangent part of each row of v at P = sqrt(2) y + I/m.  The tangent
+    space at a rank-one P is the Peirce 1/2-space of L_P, so this is
+    4 (P o v - P o (P o v)), orthogonal because L_P is self-adjoint for the
+    trace form."""
+    pv = _SQRT2 * _jordan_product(jordan, y, v) + v / jordan.m
+    return 4.0 * (pv - (_SQRT2 * _jordan_product(jordan, y, pv) + pv / jordan.m))
+
+
+def _accelerations(manifolds, jordan, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """II(v, v) at p for each row of a (K, W) stack: the Jordan spray, then
+    one solve on each row whose manifold has no Jordan constants."""
+    a = np.zeros_like(p) if jordan is None else _jordan_spray(jordan, p, v)
+    for k, man in enumerate(manifolds):
+        if man.jordan is None:
+            pk, vk = p[k, : man.ambient_dim], v[k, : man.ambient_dim]
+            rhs = -man.hessian(vk, vk)
+            a[k, : man.ambient_dim] = _solve(man, man.jacobian(pk), rhs, on_manifold=False)
+    return a
+
+
+def _tangents(manifolds, jordan, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The tangent part of each row of v at p: the Peirce projector, then one
+    solve on each row whose manifold has no Jordan constants."""
+    t = v.copy() if jordan is None else _peirce_tangent(jordan, p, v)
+    for k, man in enumerate(manifolds):
+        if man.jordan is None:
+            jac = man.jacobian(p[k, : man.ambient_dim])
+            vk = v[k, : man.ambient_dim]
+            t[k, : man.ambient_dim] = vk - _solve(man, jac, jac @ vk)
+    return t
+
+
+def _unit_rows(t: np.ndarray) -> np.ndarray:
+    speed = np.sqrt((t * t).sum(axis=1, keepdims=True))
+    if speed.min() == 0.0:
         raise ValueError("velocity projects to zero")
-    return v / speed
+    return t / speed
 
 
-def _acceleration(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if manifold.spray is not None:
-        return manifold.spray(p, v)
-    return _solve(manifold, manifold.jacobian(p), -manifold.hessian(v, v), on_manifold=False)
+def _stack_jordan(manifolds, width: int) -> JordanConstants | None:
+    """The rows' Jordan constants shifted to their rows of a (K, width) stack,
+    or None when no row has any.  m is the rows' common m, else a (K, 1)
+    column with 1 on rows without constants."""
+    rows = [(k, man.jordan) for k, man in enumerate(manifolds) if man.jordan is not None]
+    if not rows:
+        return None
+    out, left, right = (
+        np.concatenate([getattr(j, name) + k * width for k, j in rows])
+        for name in ("out", "left", "right")
+    )
+    shared = {j.m for _, j in rows}
+    if len(shared) == 1:
+        m = shared.pop()  # it broadcasts; rows without constants are solved over
+    else:
+        m = np.array([[man.jordan.m if man.jordan else 1] for man in manifolds])
+    return JordanConstants(out, left, right, np.concatenate([j.value for _, j in rows]), m)
+
+
+def _stack_residual(manifolds, width: int):
+    """The function p -> max |c(p_k)| per row of a (K, width) stack, each row
+    by its own constraint map, read as a quadratic form in (p, 1): one
+    bincount over the nonzero coefficients of every row."""
+    one = len(manifolds) * width  # where the 1 is appended to the flattened stack
+    height = max(len(man.const) for man in manifolds)
+    terms = []  # (out, left, right, value) of each nonzero coefficient
+    for k, man in enumerate(manifolds):
+        for coeffs in (man.quad, man.linear, man.const):
+            index = np.nonzero(coeffs)
+            factors = [i + k * width for i in index[1:]]
+            factors += [np.full(len(index[0]), one)] * (2 - len(factors))
+            terms.append((index[0] + k * height, *factors, coeffs[index]))
+    out, left, right, value = map(np.concatenate, zip(*terms))
+
+    def residual(p: np.ndarray) -> np.ndarray:
+        flat = np.append(p, 1.0)
+        c = np.bincount(out, value * flat.take(left) * flat.take(right), len(manifolds) * height)
+        return np.abs(c).reshape(-1, height).max(axis=1)
+
+    return residual
+
+
+def integrate_geodesics(
+    manifolds: list[ImplicitManifold],
+    starts: list[np.ndarray],
+    directions: list[np.ndarray],
+    length: float,
+    step: float = 1e-3,
+) -> list[DiscreteCurve]:
+    """Integrate gamma'' = II(gamma', gamma') for the given arc length on each
+    manifold, from its start along its direction, all in lock step.
+
+    Each start is made admissible first: p is projected onto the constraint
+    set (``project_point``), and u onto the tangent space there and
+    normalized to unit speed (``project_velocity``).  The step count is
+    rounded so that the nominal step divides the length exactly.  The
+    geodesics advance together as the rows of one zero-padded (K, W) array,
+    W the largest ambient dimension, so each Jordan product of an RK4 stage
+    is one bincount for all of them.  After each full step one batched
+    residual checks every row; a row above 1e-12 goes through
+    ``project_point`` (a projection that stalls above 1e-8 raises
+    ``ProjectionError``), and every velocity is projected onto its tangent
+    space and renormalized.  So the recorded vertices keep constraint
+    residuals near 1e-12.
+
+    Vertices sit at equal arc spacing, so chords fall short of the step by
+    about step^3 * curvature^2 / 24; each curve's edge tolerance is sized
+    from its own measured normal curvature (never below 1e-9).
+    """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step = {step!r}: expected a positive finite number")
+    if not 0.0 <= length < math.inf:
+        raise ValueError(f"length = {length!r}: expected a nonnegative finite number")
+    if not 0 < len(manifolds) == len(starts) == len(directions):
+        raise ValueError("expected one start and one direction for each of at least one manifold")
+    dims = [man.ambient_dim for man in manifolds]
+    p = np.zeros((len(manifolds), max(dims)))
+    v = np.zeros_like(p)
+    for k, (man, start, u) in enumerate(zip(manifolds, starts, directions)):
+        p[k, : dims[k]] = project_point(man, start)
+        v[k, : dims[k]] = project_velocity(man, p[k, : dims[k]], u)
+    if length == 0.0:
+        return [DiscreteCurve(p[k : k + 1, :d], nominal_step=step) for k, d in enumerate(dims)]
+    nsteps = max(1, _step_count(length, step))
+    h = length / nsteps
+    jordan = _stack_jordan(manifolds, p.shape[1])
+    residual = _stack_residual(manifolds, p.shape[1])
+    vertices = np.empty((len(p), nsteps + 1, p.shape[1]))
+    vertices[:, 0] = p
+    max_accel_sq = np.zeros(len(p))
+    for step_index in range(nsteps):
+        # classical RK4 on (position, velocity), every row at once
+        a1 = _accelerations(manifolds, jordan, p, v)
+        max_accel_sq = np.maximum(max_accel_sq, (a1 * a1).sum(axis=1))
+        p2 = p + 0.5 * h * v
+        v2 = v + 0.5 * h * a1
+        a2 = _accelerations(manifolds, jordan, p2, v2)
+        p3 = p + 0.5 * h * v2
+        v3 = v + 0.5 * h * a2
+        a3 = _accelerations(manifolds, jordan, p3, v3)
+        p4 = p + h * v3
+        v4 = v + h * a3
+        a4 = _accelerations(manifolds, jordan, p4, v4)
+        p = p + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        worst = residual(p)
+        if worst.max() > 1e-12:
+            for k in np.flatnonzero(worst > 1e-12):
+                p[k, : dims[k]] = project_point(manifolds[k], p[k, : dims[k]])
+        v = _unit_rows(_tangents(manifolds, jordan, p, v))
+        vertices[:, step_index + 1] = p
+    return [
+        DiscreteCurve(
+            vertices[k, :, :d],
+            nominal_step=h,
+            edge_tol=max(1e-9, h**3 * float(max_accel_sq[k]) / 16.0),
+        )
+        for k, d in enumerate(dims)
+    ]
 
 
 def integrate_geodesic(
@@ -263,50 +450,6 @@ def integrate_geodesic(
     length: float,
     step: float = 1e-3,
 ) -> DiscreteCurve:
-    """Integrate gamma'' = II(gamma', gamma') for the given arc length from
-    p along u.
-
-    The start is made admissible first: p is projected onto the constraint
-    set, and u onto the tangent space there and normalized to unit speed.
-    The step count is rounded so that the nominal step divides the length
-    exactly.  After each full step the position is re-projected onto the
-    constraint set and the velocity onto the tangent space (renormalized),
-    so the recorded vertices keep constraint residuals near 1e-12 (a
-    projection that stalls above 1e-8 raises ``ProjectionError``).
-
-    Vertices sit at equal arc spacing, so chords fall short of the step by
-    about step^3 * curvature^2 / 24; the returned curve's edge tolerance is
-    sized from the measured normal curvature (never below 1e-9).
-    """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step = {step!r}: expected a positive finite number")
-    if not 0.0 <= length < math.inf:
-        raise ValueError(f"length = {length!r}: expected a nonnegative finite number")
-    p = project_point(manifold, p)
-    v = project_velocity(manifold, p, u)
-    if length == 0.0:
-        return DiscreteCurve(np.asarray([p]), nominal_step=step)
-    nsteps = max(1, _step_count(length, step))
-    h = length / nsteps
-    vertices = np.empty((nsteps + 1, manifold.ambient_dim))
-    vertices[0] = p
-    max_accel = 0.0
-    for k in range(nsteps):
-        # classical RK4 on (position, velocity)
-        a1 = _acceleration(manifold, p, v)
-        max_accel = max(max_accel, float(np.linalg.norm(a1)))
-        p2 = p + 0.5 * h * v
-        v2 = v + 0.5 * h * a1
-        a2 = _acceleration(manifold, p2, v2)
-        p3 = p + 0.5 * h * v2
-        v3 = v + 0.5 * h * a2
-        a3 = _acceleration(manifold, p3, v3)
-        p4 = p + h * v3
-        v4 = v + h * a3
-        a4 = _acceleration(manifold, p4, v4)
-        p = p + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        p = project_point(manifold, p)
-        v = project_velocity(manifold, p, v)
-        vertices[k + 1] = p
-    return DiscreteCurve(vertices, nominal_step=h, edge_tol=max(1e-9, h**3 * max_accel**2 / 16.0))
+    """One geodesic of ``integrate_geodesics``: from p along u for the given
+    arc length."""
+    return integrate_geodesics([manifold], [p], [u], length, step)[0]

@@ -32,7 +32,9 @@ inadmissible representative.
 
 as an ImplicitManifold given by its coefficient tensors, which is how points,
 tangents, curvatures, and geodesics are computed uniformly over all four
-algebras, including the nonassociative one.
+algebras, including the nonassociative one.  The variety also carries the
+sparse structure constants of the flat Jordan product, read from the same
+tensors, on which the geodesic integrator steps without a solve.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import Algebra, algebra_by_kind
-from .manifold import ImplicitManifold
+from .manifold import ImplicitManifold, JordanConstants
 
 __all__ = [
     "VeroneseSpace",
@@ -352,35 +354,16 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
     manifold in flat coordinates.
 
     The constraint is quadratic: its coefficient tensors are precomputed
-    once per space and passed to the engine as they are.
-
-    Two closed forms come from the flat Jordan product u o v = J v u,
-    J = quad[:D] / 2, at the uncentred idempotent P = sqrt(2) y + I/m.  The
-    geodesic spray, with w = v o v, is II(v, v) = 2 sqrt(2) (w - 2 P o w) =
-    2 sqrt(2) (1 - 2/m) w - 8 y o w.  The tangent space at a rank-one P is
-    the Peirce 1/2-space of L_P, so the tangent part of v is
-    4 (P o v - P o (P o v)), an orthogonal projector because L_P is
-    self-adjoint for the trace form.  Only the integrator uses them; the
-    curvature queries solve.
+    once per space and passed to the engine as they are.  Its first D rows
+    are 2 X o X, so the nonzero entries of quad[:D] / 2 are the structure
+    constants of the flat Jordan product, (u o v)_c = sum J[c, a, b] u_a v_b:
+    27, 63, 171 and 531 of them on RP2 ... OP2.  They go to the engine as
+    its ``jordan`` constants, with m, for the closed-form spray and Peirce
+    tangent projection of the integrator; the curvature queries solve.
     """
     quad, linear, const = _variety_tensors(spc.algebra.kind, spc.n)
-    d, m = spc.flat_dim, spc.m
-    jordan_rows = quad[:d].reshape(d * d, d) / 2.0
-    spray_w = 2.0 * SQRT2 * (1.0 - 2.0 / m)
-
-    def mult_by(y: np.ndarray) -> np.ndarray:
-        """The matrix of x -> y o x: one BLAS product over the (D^2, D) rows of J."""
-        return (jordan_rows @ y).reshape(d, d)
-
-    def spray(y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w = mult_by(v) @ v
-        return spray_w * w - 8.0 * (mult_by(w) @ y)
-
-    def tangent(y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        l_p = SQRT2 * mult_by(y)  # L_P - I/m
-        pv = l_p @ v + v / m
-        return 4.0 * (pv - (l_p @ pv + pv / m))
-
+    jordan = quad[: spc.flat_dim] / 2.0
+    index = np.nonzero(jordan)
     return ImplicitManifold(
         quad,
         linear,
@@ -388,6 +371,5 @@ def variety(spc: VeroneseSpace) -> ImplicitManifold:
         base_point(spc),
         intrinsic_dim=spc.intrinsic_dim,
         name=spc.name,
-        spray=spray,
-        tangent=tangent,
+        jordan=JordanConstants(*index, jordan[index], spc.m),
     )

@@ -1,6 +1,5 @@
 """CLI driver: suites, reports, exit codes, determinism, dumps."""
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from normcurve.cli import (
     render_report,
     run_suite,
 )
+from thread_cpu import needs_schedstat, other_threads_cpu_ms
 
 SMALL_CONFIG = """
 [veronese]
@@ -273,6 +273,17 @@ def test_single_edge_bow_arc_rejected(tmp_path, capsys):
     assert check_bow(trials=5, n_edges=2, seed=0)["success_ratio"] == 1.0
 
 
+def test_ball_tol_below_rounding_rejected(tmp_path):
+    # below 1e-15 the certified ball cannot close its gap and runs to the cap
+    bad = tmp_path / "tol.ini"
+    bad.write_text("[veronese]\nball_tol = 2.2e-16\n")
+    with pytest.raises(ValueError) as err:
+        load_config(str(bad))
+    assert str(err.value) == "[veronese] ball_tol = '2.2e-16': expected a finite number >= 1e-15"
+    bad.write_text("[veronese]\nball_tol = 1e-15\n")
+    assert load_config(str(bad))["veronese"]["ball_tol"] == 1e-15
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # a step of 5 along a length-10 geodesic leaves the variety: ProjectionError
     out = str(tmp_path / "geo.csv")
@@ -430,17 +441,22 @@ def test_curvature_engines_never_use_the_spray(monkeypatch):
         )
 
     expected = engines()
-    real = veronese.variety
 
-    def closed_form_used(p, v):
+    def closed_form_used(*args):
         raise AssertionError("a curvature claim used a closed-form spray or tangent")
 
-    def variety(spc):
-        return dataclasses.replace(real(spc), spray=closed_form_used, tangent=closed_form_used)
-
-    monkeypatch.setattr(veronese, "variety", variety)
+    monkeypatch.setattr(manifold, "_jordan_spray", closed_form_used)
+    monkeypatch.setattr(manifold, "_peirce_tangent", closed_form_used)
     assert engines() == expected
     assert expected[0]["max_deviation"] <= 1e-8 and expected[2]["rp2_max_dev"] <= 1e-6
+    with pytest.raises(AssertionError, match="closed-form"):
+        check_circle_geodesics(step=0.25, seed=0)  # the integrator does use them
+
+
+@needs_schedstat
+def test_circle_geodesics_keep_to_the_calling_thread():
+    # the stacked Jordan products and the blocked circle fits wake no BLAS worker
+    assert other_threads_cpu_ms(lambda: check_circle_geodesics(0.003, 0)) == 0.0
 
 
 def test_circle_geodesics_coarse_step():

@@ -1,10 +1,6 @@
 """Discrete curves: curvature, bow comparison, surgery, averaged bounds."""
 
 import math
-import os
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -33,6 +29,7 @@ from normcurve.curves import (
     straight_segment,
     turning_angles,
 )
+from thread_cpu import needs_schedstat, other_threads_cpu_ms
 
 
 def test_discrete_curve_validation():
@@ -389,29 +386,11 @@ def test_one_block_factor_is_the_unblocked_qr(rows):
     assert np.array_equal(factor, np.linalg.qr(centered, mode="r"))
 
 
-def _other_threads_cpu_ns() -> int:
-    main = threading.get_native_id()
-    total = 0
-    for task in os.listdir("/proc/self/task"):
-        if int(task) != main:
-            try:
-                with open(f"/proc/self/task/{task}/schedstat") as fh:
-                    total += int(fh.read().split()[0])
-            except FileNotFoundError:  # the thread exited
-                pass
-    return total
-
-
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or not os.path.exists("/proc/self/schedstat"),
-    reason="reads per-thread CPU time from Linux /proc/self/task/*/schedstat",
-)
+@needs_schedstat
 @pytest.mark.parametrize("dim", [15, 27])
 def test_circle_fit_keeps_to_the_calling_thread(dim):
     # one QR of a whole (1048, 15) cloud runs multithreaded in OpenBLAS and
     # spins a worker thread on another core; neither fit may wake one
-    if len(os.listdir("/proc/self/task")) == 1:
-        pytest.skip("the process has only one thread, so no BLAS worker to wake")
     rng = np.random.default_rng(89)
     frame, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
     ts = np.linspace(0.0, 2.0 * math.pi, 1048)
@@ -423,16 +402,7 @@ def test_circle_fit_keeps_to_the_calling_thread(dim):
             curves.fit_circle(cloud)
             curves.planarity_residual(cloud)
 
-    run()
-    for _ in range(60):  # let a worker that earlier tests woke go idle
-        before = _other_threads_cpu_ns()
-        time.sleep(0.05)
-        if _other_threads_cpu_ns() == before:
-            break
-    before = _other_threads_cpu_ns()
-    run()
-    gained_ms = (_other_threads_cpu_ns() - before) / 1e6
-    assert gained_ms == 0.0
+    assert other_threads_cpu_ms(run) == 0.0
 
 
 def test_planarity_residual_zero_below_three_dimensions():

@@ -1,6 +1,7 @@
 """Implicit-manifold engine: tangent spaces, curvature operators, geodesics."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from normcurve import manifold, veronese
 from normcurve.algebra import REAL
 from normcurve.manifold import (
     ImplicitManifold,
+    ProjectionError,
     SingularPointError,
     integrate_geodesic,
     mean_curvature_vector,
@@ -461,7 +463,61 @@ def test_rp2_angle_excess_matches_spherical_triangles():
         assert excess > 0.0  # positive curvature
 
 
-# -- closed-form Jordan spray ----------------------------------------------------
+# -- closed-form Jordan spray and Peirce tangent projection ----------------------
+
+
+def dense_closed_forms(spc):
+    """The spray (y, v) -> II(v, v) and the Peirce tangent projection of one
+    variety, each Jordan product read from the dense (D^2, D) matrix of J:
+    the per-plane oracle for the sparse stacked forms."""
+    quad, _, _ = veronese._variety_tensors(spc.algebra.kind, spc.n)
+    d, m = spc.flat_dim, spc.m
+    jordan_rows = quad[:d].reshape(d * d, d) / 2.0
+    spray_w = 2.0 * veronese.SQRT2 * (1.0 - 2.0 / m)
+
+    def mult_by(y):
+        return (jordan_rows @ y).reshape(d, d)
+
+    def spray(y, v):
+        w = mult_by(v) @ v
+        return spray_w * w - 8.0 * (mult_by(w) @ y)
+
+    def tangent(y, v):
+        l_p = veronese.SQRT2 * mult_by(y)  # L_P - I/m
+        pv = l_p @ v + v / m
+        return 4.0 * (pv - (l_p @ pv + pv / m))
+
+    return spray, tangent
+
+
+def dense_geodesic(var, p, u, length, step):
+    """Vertices of the one-plane RK4 loop on the dense closed forms."""
+    spray, tangent = dense_closed_forms(veronese.space_from_name(var.name))
+
+    def unit_tangent(p, v):
+        t = tangent(p, v)
+        return t / np.linalg.norm(t)
+
+    p = project_point(var, p)
+    v = unit_tangent(p, u)
+    nsteps = max(1, round(length / step))
+    h = length / nsteps
+    vertices = [p]
+    for _ in range(nsteps):
+        a1 = spray(p, v)
+        p2 = p + 0.5 * h * v
+        v2 = v + 0.5 * h * a1
+        a2 = spray(p2, v2)
+        p3 = p + 0.5 * h * v2
+        v3 = v + 0.5 * h * a2
+        a3 = spray(p3, v3)
+        p4 = p + h * v3
+        v4 = v + h * a3
+        a4 = spray(p4, v4)
+        p = project_point(var, p + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4))
+        v = unit_tangent(p, v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+        vertices.append(p)
+    return np.array(vertices)
 
 
 @pytest.mark.parametrize("name", VARIETY_SPACES)
@@ -470,10 +526,13 @@ def test_spray_matches_least_squares_solve(name):
     spc = veronese.space_from_name(name)
     var = veronese.variety(spc)
     rng = np.random.default_rng(54)
-    for p in veronese.sample_points(spc, 6, rng):
-        for v in random_tangent(var, p, rng, count=4):
-            oracle = second_fundamental_form(var, p, v, v)
-            assert np.linalg.norm(var.spray(p, v) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    points = veronese.sample_points(spc, 6, rng)
+    p = np.repeat(points, 4, axis=0)
+    v = np.concatenate([random_tangent(var, q, rng, count=4) for q in points])
+    oracle = np.array([second_fundamental_form(var, q, u, u) for q, u in zip(p, v)])
+    jordan = manifold._stack_jordan([var] * len(p), var.ambient_dim)  # one row per pair
+    error = np.linalg.norm(manifold._jordan_spray(jordan, p, v) - oracle, axis=1)
+    assert np.all(error <= 1e-12 * np.linalg.norm(oracle, axis=1))
 
 
 def test_spray_geodesic_matches_least_squares_geodesic():
@@ -484,12 +543,8 @@ def test_spray_geodesic_matches_least_squares_geodesic():
     p0 = veronese.sample_points(spc, 1, rng)[0]
     u = random_tangent(var, p0, rng)
     fast = integrate_geodesic(var, p0, u, math.pi, step=1e-2)
-    solved = dataclasses.replace(var, spray=None, tangent=None)
-    slow = integrate_geodesic(solved, p0, u, math.pi, step=1e-2)
+    slow = integrate_geodesic(dataclasses.replace(var, jordan=None), p0, u, math.pi, step=1e-2)
     assert np.max(np.linalg.norm(fast.vertices - slow.vertices, axis=1)) <= 1e-9
-
-
-# -- closed-form Peirce tangent projection ---------------------------------------
 
 
 @pytest.mark.parametrize("name", VARIETY_SPACES)
@@ -498,11 +553,15 @@ def test_tangent_projection_matches_least_squares(name):
     spc = veronese.space_from_name(name)
     var = veronese.variety(spc)
     rng = np.random.default_rng(58)
-    for p in veronese.sample_points(spc, 6, rng):
-        jac = var.jacobian(p)
-        for v in rng.standard_normal((4, var.ambient_dim)):
-            oracle = v - np.linalg.lstsq(jac, jac @ v, rcond=1e-8)[0]  # the engine's rank cut
-            assert np.linalg.norm(var.tangent(p, v) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    p = np.repeat(veronese.sample_points(spc, 6, rng), 4, axis=0)
+    v = rng.standard_normal(p.shape)
+    oracle = []
+    for q, u in zip(p, v):
+        jac = var.jacobian(q)
+        oracle.append(u - np.linalg.lstsq(jac, jac @ u, rcond=1e-8)[0])  # the engine's rank cut
+    jordan = manifold._stack_jordan([var] * len(p), var.ambient_dim)
+    error = np.linalg.norm(manifold._peirce_tangent(jordan, p, v) - np.array(oracle), axis=1)
+    assert np.all(error <= 1e-12 * np.linalg.norm(oracle, axis=1))
 
 
 @pytest.mark.parametrize("name", VARIETY_SPACES)
@@ -510,31 +569,107 @@ def test_tangent_projection_is_idempotent_and_kills_normals(name):
     spc = veronese.space_from_name(name)
     var = veronese.variety(spc)
     rng = np.random.default_rng(59)
-    for p in veronese.sample_points(spc, 4, rng):
-        t = var.tangent(p, rng.standard_normal(var.ambient_dim))
-        assert np.linalg.norm(var.tangent(p, t) - t) <= 1e-12 * np.linalg.norm(t)
-        jac = var.jacobian(p)
-        normal = rng.standard_normal(len(jac)) @ jac  # the row space of Dc(p)
-        assert np.linalg.norm(var.tangent(p, normal)) <= 1e-12 * np.linalg.norm(normal)
+    p = veronese.sample_points(spc, 4, rng)
+    jordan = manifold._stack_jordan([var] * len(p), var.ambient_dim)
+    t = manifold._peirce_tangent(jordan, p, rng.standard_normal(p.shape))
+    drift = np.linalg.norm(manifold._peirce_tangent(jordan, p, t) - t, axis=1)
+    assert np.all(drift <= 1e-12 * np.linalg.norm(t, axis=1))
+    # rows of the row space of each Dc(p)
+    normal = np.array([rng.standard_normal(var.ambient_dim + 1) @ var.jacobian(q) for q in p])
+    left = np.linalg.norm(manifold._peirce_tangent(jordan, p, normal), axis=1)
+    assert np.all(left <= 1e-12 * np.linalg.norm(normal, axis=1))
 
 
-def test_geodesic_projects_once_per_step(monkeypatch):
+# -- lock-step geodesics ----------------------------------------------------------
+
+
+def _plane_starts(seed):
+    rng = np.random.default_rng(seed)
+    varieties, starts, directions = [], [], []
+    for spc in veronese.standard_planes():
+        varieties.append(veronese.variety(spc))
+        starts.append(veronese.sample_points(spc, 1, rng)[0])
+        directions.append(random_tangent(varieties[-1], starts[-1], rng))
+    return varieties, starts, directions
+
+
+def test_lock_step_matches_per_plane_dense_oracle():
+    varieties, starts, directions = _plane_starts(60)
+    curves = manifold.integrate_geodesics(varieties, starts, directions, math.pi, 3e-3)
+    for var, p0, u, curve in zip(varieties, starts, directions, curves):
+        oracle = dense_geodesic(var, p0, u, math.pi, 3e-3)
+        assert curve.vertices.shape == oracle.shape == (1048, var.ambient_dim)
+        assert np.max(np.abs(curve.vertices - oracle)) <= 1e-13
+
+
+def test_lock_step_mixes_spaces_and_solved_rows():
+    # CP2 (m = 3) and RP3 (m = 4) share one stack with a sphere, whose row
+    # has no Jordan constants and takes one solve per stage
+    rows = [veronese.variety(veronese.space_from_name(name)) for name in ("cp2", "rp3")]
+    rows.insert(1, sphere_manifold(0.5))
+    starts = [var.base_point for var in rows]
+    directions = [tangent_basis(var, var.base_point)[0] for var in rows]
+    stacked = manifold.integrate_geodesics(rows, starts, directions, 1.0, 1e-2)
+    for var, p0, u, curve in zip(rows, starts, directions, stacked):
+        alone = integrate_geodesic(var, p0, u, 1.0, 1e-2)
+        assert np.max(np.abs(curve.vertices - alone.vertices)) <= 1e-13
+
+
+def test_geodesics_project_starts_and_stray_rows(monkeypatch):
     # the benchmark traces project_point and project_velocity through these
-    # module names; an integrator that bypassed them would leave its layers at 0
-    calls = {"project_point": 0, "project_velocity": 0}
-    for name in calls:
-        real = getattr(manifold, name)
+    # module names: each start goes through both, and later only a row whose
+    # residual rises above 1e-12 goes through project_point
+    calls = []
+    for name in ("project_point", "project_velocity"):
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+        def counted(var, *args, _real=getattr(manifold, name), _name=name):
+            calls.append((_name, var.name))
+            return _real(var, *args)
 
         monkeypatch.setattr(manifold, name, counted)
-    var = veronese.variety(veronese.space("complex", 2))
-    u = tangent_basis(var, var.base_point)[0]
-    curve = manifold.integrate_geodesic(var, var.base_point, u, 0.1, step=0.01)
-    assert curve.n_vertices == 11  # 10 steps
-    assert calls == {"project_point": 11, "project_velocity": 11}
+    velocities = []
+
+    def recorded(t, _real=manifold._unit_rows):
+        velocities.append(_real(t))
+        return velocities[-1]
+
+    monkeypatch.setattr(manifold, "_unit_rows", recorded)
+    varieties, starts, directions = _plane_starts(61)
+    names = ("project_point", "project_velocity")
+    starts_only = [(name, var.name) for var in varieties for name in names]
+
+    curves = manifold.integrate_geodesics(varieties, starts, directions, 0.3, 3e-3)
+    assert calls == starts_only
+    stacked = np.array(velocities[len(varieties) :])  # after the starts' one-row calls
+    for k, (var, curve) in enumerate(zip(varieties, curves)):
+        assert curve.n_vertices == 101
+        assert max(np.max(np.abs(var.constraint(q))) for q in curve.vertices) <= 1e-12
+        v = stacked[:, k, : var.ambient_dim]
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-14
+        normal = [var.jacobian(q) @ w for q, w in zip(curve.vertices[1:], v)]
+        assert np.max(np.abs(normal)) <= 1e-12
+
+    spray = manifold._jordan_spray
+
+    def pushed_run(size):
+        # add ``size`` to every coordinate of CP2's acceleration at the first stage of step 6
+        stage = itertools.count()
+
+        def pushed(jordan, y, v):
+            a = spray(jordan, y, v)
+            if next(stage) == 20:
+                a[1, : varieties[1].ambient_dim] += size
+            return a
+
+        monkeypatch.setattr(manifold, "_jordan_spray", pushed)
+        calls.clear()
+        return manifold.integrate_geodesics(varieties, starts, directions, 0.3, 3e-3)
+
+    curves = pushed_run(1e-4)
+    assert calls == starts_only + [("project_point", "CP2")]
+    assert max(np.max(np.abs(varieties[1].constraint(q))) for q in curves[1].vertices) <= 1e-12
+    with pytest.raises(ProjectionError):
+        pushed_run(1e6)
 
 
 # -- geodesic integration ------------------------------------------------------
@@ -545,6 +680,13 @@ def test_integrate_zero_length():
     curve = integrate_geodesic(var, var.base_point, np.array([0.0, 1.0, 0.0]), 0.0)
     assert curve.n_vertices == 1
     assert np.array_equal(curve.vertices[0], var.base_point)
+
+
+def test_geodesics_need_one_start_and_direction_per_manifold():
+    var = sphere_manifold(0.5)
+    for args in (([var], [var.base_point], []), ([], [], [])):
+        with pytest.raises(ValueError, match="one start and one direction"):
+            manifold.integrate_geodesics(*args, 1.0, 1e-2)
 
 
 def test_integrate_sphere_great_circle():
