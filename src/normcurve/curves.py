@@ -16,13 +16,16 @@ The module also provides:
   equality case.
 * ``monotonicity_check`` -- the chord/tangent inner product of a
   length-pi/2 curve with curvature below 2, which must be positive.
-* ``fary_check`` -- average-curvature lower bound (>= 1) for closed
-  curves inside the unit ball.
+* ``fary_check`` -- the polygon form of Chakerian's inequality,
+  L <= R sum 2 sin(theta_i / 2) <= R sum theta_i, for closed polygons
+  with unequal edges inside the unit ball: average curvature at least 1,
+  checked to rounding, with equality in the middle bound on a regular
+  polygon inscribed in a great circle.  ``random_closed_curve`` draws such
+  polygons by sampling a random trigonometric loop at uniform parameters.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -94,8 +97,10 @@ class DiscreteCurve:
         self.vertices = np.asarray(self.vertices, dtype=float)
         if self.vertices.ndim != 2:
             raise ValueError("vertices must be a (N, D) array")
-        if self.nominal_step <= 0.0:
-            raise ValueError("nominal_step must be positive")
+        if not 0.0 < self.nominal_step < math.inf:
+            raise ValueError("nominal_step must be positive and finite")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertices must be finite")
         n = len(self.vertices)
         if self.closed and n < 3:
             raise ValueError("closed curves need at least 3 vertices")
@@ -375,36 +380,71 @@ class FaryReport:
     average_curvature: float
     bound_satisfied: bool
     enclosing_radius: float
+    chord_ratio: float
+    rounding: float
 
 
-def fary_check(curve: DiscreteCurve) -> FaryReport:
-    """Average-curvature bound for a closed curve inside the unit ball.
+def fary_check(polygon) -> FaryReport:
+    """The polygon form of Chakerian's inequality for a closed polygon in
+    the unit ball.
 
-    The average of the discrete curvature over arc length must be at
-    least 1 - 5e-3.  Raises on open curves or curves not contained in the
-    unit ball (radius above 1 + 1e-6).
+    ``polygon`` is an (N, D) vertex array, closed by the implied edge from
+    the last vertex to the first, or a closed ``DiscreteCurve``; edges may
+    differ in length.  With edges e_i, L = sum |e_i|, unit tangents
+    T_i = e_i / |e_i|, exterior angles theta_i between T_i and T_(i+1), and
+    R = max |v_i| about the origin, the centre of the unit ball, summation
+    by parts gives
+
+        L = sum <v_(i+1), T_i - T_(i+1)> <= R sum 2 sin(theta_i / 2) <= R sum theta_i
+
+    (Chakerian, Pacific J. Math. 12, 1962; Fary 1950 in the plane).  A
+    regular polygon inscribed in a great circle attains the middle bound.
+    The report gives the average curvature sum theta_i / L, R, the middle
+    ratio R sum 2 sin(theta_i / 2) / L (``chord_ratio``), and whether
+    R sum theta_i >= L (1 - rounding).  Raises ``InvalidComparison`` on an
+    open curve, a non-finite vertex, a zero-length edge, or R above
+    1 + (D + 4) eps.
+
+    Error model, with u = eps / 2: each |v_i| is computed to (D + 3) u / 2
+    relative, so the generator's vertices, divided by their largest
+    computed norm, read at most 1 + (D + 4) u.  Edges are rounded
+    differences, exact to u relative; each unit tangent is then off by
+    less than (D + 9) u / 2 and each chord 2 sin(theta_i / 2) = |T_(i+1) - T_i|
+    by less than (2 D + 14) u absolute.  A closed polygon's tangents lie in
+    no open hemisphere, so their chords sum to at least 4.  With the sums'
+    (n - 1) u and the arcsine's 2 u (theta_i >= 2 sin(theta_i / 2)), the
+    computed ratios are off by less than ``rounding`` = (D + 16) n eps,
+    relative: 2.5e-11 on the 6,283-gon of a unit circle at step 1e-3.
     """
-    if not curve.closed:
-        raise InvalidComparison("average-curvature bound applies to closed curves")
-    pts = curve.vertices
-    if len(pts) > 1500:
-        sub = pts[:: max(1, len(pts) // 1000)]
-    else:
-        sub = pts
-    # each candidate center certifies an upper bound on the minimal radius
-    candidates = [
-        np.zeros(curve.dim),
-        pts.mean(axis=0),
-        min_enclosing_ball(sub, tol=1e-3).center,
-    ]
-    radius = min(float(np.max(_row_norms(pts - c))) for c in candidates)
-    if radius > 1.0 + 1e-6:
-        raise InvalidComparison(f"curve is not contained in the unit ball (radius {radius:.6g})")
-    average = float(np.sum(turning_angles(curve))) / curve.length
+    if isinstance(polygon, DiscreteCurve):
+        if not polygon.closed:
+            raise InvalidComparison("average-curvature bound applies to closed curves")
+        polygon = polygon.vertices
+    vertices = np.asarray(polygon, dtype=float)
+    if vertices.ndim != 2 or len(vertices) < 3:
+        raise InvalidComparison("a closed polygon needs an (N, D) array of at least 3 vertices")
+    if not np.isfinite(vertices).all():
+        raise InvalidComparison("polygon has a non-finite vertex")
+    n, dim = vertices.shape
+    eps = float(np.finfo(float).eps)
+    radius = float(np.max(_row_norms(vertices)))
+    if radius > 1.0 + (dim + 4) * eps:
+        raise InvalidComparison(f"curve is not contained in the unit ball (radius {radius!r})")
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    lengths = _row_norms(edges)
+    if lengths.min() == 0.0:
+        raise InvalidComparison("polygon has a zero-length edge")
+    tangents = edges / lengths[:, None]
+    chords = _row_norms(np.roll(tangents, -1, axis=0) - tangents)
+    turning = float(np.sum(2.0 * np.arcsin(np.clip(0.5 * chords, 0.0, 1.0))))
+    length = float(np.sum(lengths))
+    rounding = (dim + 16) * n * eps
     return FaryReport(
-        average_curvature=average,
-        bound_satisfied=bool(average >= 1.0 - 5e-3),
+        average_curvature=turning / length,
+        bound_satisfied=bool(radius * turning >= length * (1.0 - rounding)),
         enclosing_radius=radius,
+        chord_ratio=radius * float(np.sum(chords)) / length,
+        rounding=rounding,
     )
 
 
@@ -563,107 +603,45 @@ def _vertices(tangents: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return vertices
 
 
-def _harmonic_samples(u: np.ndarray, ks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trig tables (A, B) of the ``order``-th derivative (0, 1 or 2) of a
-    trigonometric loop at parameters ``u``; it samples as
-    ``A @ coef_cos + B @ coef_sin``."""
-    arg = np.outer(u, ks)
-    if order == 0:
-        return np.cos(arg), np.sin(arg)
-    if order == 1:
-        return -np.sin(arg) * ks, np.cos(arg) * ks
-    return -np.cos(arg) * ks**2, -np.sin(arg) * ks**2
 
 
-@functools.cache
-def _harmonic_tables() -> tuple:
-    """Read-only ``(ks, grid, dense1, dense2, probe, grid1)`` for
-    ``random_closed_curve``, built on first use: the harmonics ks = 1, 2, 3,
-    the first and second derivative tables on the 4096-point ``dense``
-    grid, the curve's tables on the probe ``dense[::16]``, and the first
-    derivative tables on the 16385-point Simpson ``grid``."""
-    ks = np.arange(1, 4)
-    dense = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    grid = np.linspace(0.0, 2.0 * math.pi, 2 * 8192 + 1)
-    tables = (
-        _harmonic_samples(dense, ks, 1),
-        _harmonic_samples(dense, ks, 2),
-        _harmonic_samples(dense[::16], ks, 0),
-        _harmonic_samples(grid, ks, 1),
-    )
-    for array in (ks, grid, *(a for pair in tables for a in pair)):
-        array.setflags(write=False)
-    return (ks, grid, *tables)
+def _harmonic_loop(coef_cos: np.ndarray, coef_sin: np.ndarray, count: int) -> np.ndarray:
+    """The loop sum_k cos(k u) a_k + sin(k u) b_k, k = 1, 2, 3, at the
+    ``count`` parameters u = 2 pi j / count."""
+    arg = np.outer(2.0 * math.pi * np.arange(count) / count, np.arange(1, 4))
+    return np.cos(arg) @ coef_cos + np.sin(arg) @ coef_sin
+
+
+# Uniform parameters of the probe polygon that centres and sizes a loop.
+_PROBE = 256
 
 
 def random_closed_curve(
     rng: np.random.Generator, dim: int = 3, step_target: float = 1e-3
-) -> DiscreteCurve:
-    """Random smooth closed curve, resampled by arc length and scaled to
-    fit exactly inside the unit ball.
+) -> np.ndarray:
+    """Random closed polygon in R^dim whose farthest vertex from the origin
+    is at distance 1 (up to rounding), as an (n, dim) vertex array.
 
-    The curve is a random trigonometric loop of 3 harmonics; draws whose
-    speed dips below a quarter of its mean, or whose curvature times
-    radius exceeds 5.5 (it would break the equal-edge tolerance at the
-    target step), are rejected and redrawn, up to 200 draws.  Each draw
-    is sampled on its fixed grids through the cached trig tables of
-    ``_harmonic_tables``.  Arc length comes from a fine cumulative Simpson
-    rule; equal-arc parameters are found by spline inversion plus Newton
-    refinement, so vertices lie on the smooth curve at equally spaced arc
-    positions up to ~1e-12.
+    The polygon samples one random trigonometric loop of 3 harmonics at n
+    uniform parameters, so its edges are unequal; ``fary_check`` needs no
+    equal edges.  Random stream: one ``rng.standard_normal((3, dim))`` for
+    the cosine coefficients, then one for the sine ones, harmonic k scaled
+    by 1/k^2.  A probe polygon at 256 uniform parameters gives the centre c
+    (one certified ``min_enclosing_ball`` at relative gap 1e-3), and its
+    length over its covering radius about c estimates L, the length of the
+    loop scaled to radius 1; then n = clip(round(L / step_target), 64, 40000).
+    The n vertices are moved by -c and divided by R = max |v_i - c|.
     """
-    from scipy.interpolate import CubicSpline
-
-    ks, grid, dense1, dense2, probe_tables, grid1 = _harmonic_tables()
-    for _ in range(200):
-        coef_cos = rng.standard_normal((len(ks), dim)) / ks[:, None] ** 2
-        coef_sin = rng.standard_normal((len(ks), dim)) / ks[:, None] ** 2
-
-        def sample(tables):
-            return tables[0] @ coef_cos + tables[1] @ coef_sin
-
-        d1 = sample(dense1)
-        speed = _row_norms(d1)
-        if speed.min() < 0.25 * speed.mean():
-            continue
-        d2 = sample(dense2)
-        cross_sq = np.einsum("ij,ij->i", d1, d1) * np.einsum("ij,ij->i", d2, d2) - (
-            np.einsum("ij,ij->i", d1, d2)
-        ) ** 2
-        kappa = np.sqrt(np.maximum(cross_sq, 0.0)) / speed**3
-
-        probe = sample(probe_tables)
-        radius_est = float(np.max(_row_norms(probe - probe.mean(axis=0))))
-        if float(kappa.max()) * radius_est > 5.5:
-            continue
-
-        # cumulative Simpson arc length on a fine grid, then invert
-        f = _row_norms(sample(grid1))
-        increments = ((grid[1] - grid[0]) / 3.0) * (f[0:-2:2] + 4.0 * f[1::2] + f[2::2])
-        s_even = np.concatenate([[0.0], np.cumsum(increments)])
-        u_even = grid[::2]
-        total = float(s_even[-1])
-
-        h_eff = step_target * min(1.0, 0.75 * radius_est)
-        count = total / h_eff
-        if count == math.inf:
-            raise ValueError(f"step_target = {step_target!r}: too many vertices to count")
-        n = int(np.clip(round(count), 64, 40000))
-        h = total / n
-        targets = h * np.arange(n)
-        forward = CubicSpline(u_even, s_even)
-        u = CubicSpline(s_even, u_even)(targets)
-        for _newton in range(2):
-            speed_u = _row_norms(sample(_harmonic_samples(u, ks, 1)))
-            u = u - (forward(u) - targets) / speed_u
-        vertices = sample(_harmonic_samples(u, ks, 0))
-
-        sub = vertices[:: max(1, n // 800)]
-        center = min_enclosing_ball(sub, tol=1e-3).center
-        scale = float(np.max(_row_norms(vertices - center)))
-        vertices = (vertices - center) / scale
-        try:
-            return DiscreteCurve(vertices, nominal_step=h / scale, closed=True)
-        except ValueError:
-            continue
-    raise RuntimeError("failed to draw an acceptable closed curve")
+    ks = np.arange(1, 4)[:, None]
+    coef_cos = rng.standard_normal((3, dim)) / ks**2
+    coef_sin = rng.standard_normal((3, dim)) / ks**2
+    probe = _harmonic_loop(coef_cos, coef_sin, _PROBE)
+    ball = min_enclosing_ball(probe, tol=1e-3)
+    length = float(np.sum(_row_norms(np.roll(probe, -1, axis=0) - probe))) / ball.radius
+    count = length / step_target
+    if count == math.inf:
+        raise ValueError(f"step_target = {step_target!r}: too many vertices to count")
+    vertices = _harmonic_loop(coef_cos, coef_sin, int(np.clip(round(count), 64, 40000)))
+    vertices -= ball.center
+    vertices /= np.max(_row_norms(vertices))
+    return vertices

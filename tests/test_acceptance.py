@@ -8,8 +8,9 @@ criterion prints one PASS/FAIL line per claim (visible with ``pytest -s`` or
 Conditions of the criteria that have no claim of their own follow from a
 claim's components and tolerances: the four-point obstruction circ4 > circ3
 from C4, the named bow instance's inequality from C8's gaps, every Fary
-average clearing ``fary_check``'s slack from C9's success ratio, and a
-strictly positive chord/tangent minimum from C10's success ratio.
+polygon meeting L <= R * total turning to ``fary_check``'s rounding bound
+from C9's success ratio, and a strictly positive chord/tangent minimum from
+C10's success ratio.
 """
 
 import functools

@@ -1,6 +1,9 @@
 """CLI driver: suites, reports, exit codes, determinism, dumps."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from normcurve.cli import (
     VerificationReport,
     check_bow,
     check_circle_geodesics,
+    check_fary,
     check_mean_curvature,
     check_monotonicity,
     check_normal_curvature,
@@ -201,6 +205,22 @@ def test_report_byte_stability(small_config, tmp_path):
     assert _stable_lines(out1.read_text()) != _stable_lines(out2.read_text())
 
 
+def test_curves_suite_imports_no_scipy(small_config, tmp_path):
+    # the closed-curve generator needs no spline: importing scipy.interpolate
+    # alone costs about 49 MB of resident memory
+    script = (
+        "import sys\n"
+        "from normcurve.cli import main\n"
+        f"status = main(['verify', 'curves', '--config', {small_config!r}, '--out', {str(tmp_path / 'c.txt')!r}])\n"
+        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(curves.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_verify_all_exit_code_and_side_table(small_config, tmp_path):
     out = tmp_path / "all.txt"
     code = main(["verify", "all", "--config", small_config, "--out", str(out), "--seed", "0"])
@@ -284,19 +304,30 @@ def test_ball_tol_below_rounding_rejected(tmp_path):
     assert load_config(str(bad))["veronese"]["ball_tol"] == 1e-15
 
 
-def test_numerical_failure_exits_two(tmp_path, capsys):
+def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     # a step of 5 along a length-10 geodesic leaves the variety: ProjectionError
     out = str(tmp_path / "geo.csv")
     assert main(["dump-geodesic", "rp2", "--length", "10", "--step", "5", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: projection stalled") and err.count("\n") == 1
-    # at step 0.5 no draw has equal edges within tolerance: the generator gives up
+    # at step 0.5 the generator draws a 64-vertex polygon, which C9 takes
     coarse = tmp_path / "coarse.ini"
     coarse.write_text(
         "[curves]\nbow_trials = 1\nfary_trials = 1\nmonotonicity_trials = 1\nfary_step = 0.5\n"
     )
-    assert main(["verify", "curves", "--config", str(coarse)]) == 2
-    assert capsys.readouterr().err == "error: failed to draw an acceptable closed curve\n"
+    argv = ["verify", "curves", "--config", str(coarse), "--out", str(tmp_path / "c.txt")]
+    assert main(argv) == 0
+    # a polygon with a non-finite vertex, as a numerical failure would leave
+    real = curves.random_closed_curve
+
+    def nan_vertex(rng, dim, step_target):
+        polygon = real(rng, dim=dim, step_target=step_target)
+        polygon[7, 1] = math.nan
+        return polygon
+
+    monkeypatch.setattr(curves, "random_closed_curve", nan_vertex)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: polygon has a non-finite vertex\n"
 
 
 def test_failing_claim_exits_one(monkeypatch, small_config):
@@ -457,6 +488,13 @@ def test_curvature_engines_never_use_the_spray(monkeypatch):
 def test_circle_geodesics_keep_to_the_calling_thread():
     # the stacked Jordan products and the blocked circle fits wake no BLAS worker
     assert other_threads_cpu_ms(lambda: check_circle_geodesics(0.003, 0)) == 0.0
+
+
+@needs_schedstat
+def test_fary_keeps_to_the_calling_thread():
+    # the loop samples, (n, 3) @ (3, D) products with n up to 40,000, and the
+    # one ball per polygon, on its 256-vertex probe, wake no BLAS worker
+    assert other_threads_cpu_ms(lambda: check_fary(20, 1e-3, 0)) == 0.0
 
 
 def test_circle_geodesics_coarse_step():

@@ -11,7 +11,6 @@ from normcurve.cli import _space_curve_trials
 from normcurve.curves import (
     _QR_BLOCK,
     _centered_factor,
-    _harmonic_tables,
     _row_norms,
     DiscreteCurve,
     InvalidComparison,
@@ -37,6 +36,16 @@ def test_discrete_curve_validation():
         DiscreteCurve(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]), nominal_step=1.0)
     with pytest.raises(ValueError, match="positive"):
         DiscreteCurve(np.zeros((2, 2)), nominal_step=0.0)
+    for step in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DiscreteCurve(np.array([[0.0, 0.0], [1.0, 0.0]]), nominal_step=step)
+    # a NaN length compares false with edge_tol, so only a finiteness check stops it
+    circle = sample_circle_arc(1.0, None, 1e-2, closed=True)
+    for bad in (math.nan, math.inf):
+        vertices = circle.vertices.copy()
+        vertices[5, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteCurve(vertices, circle.nominal_step, closed=True, edge_tol=circle.edge_tol)
     with pytest.raises(ValueError, match="at least 3"):
         DiscreteCurve(np.array([[0.0, 0.0], [1.0, 0.0]]), nominal_step=1.0, closed=True)
 
@@ -270,17 +279,39 @@ def test_monotonicity_random_positive():
 # -- averaged curvature bound ----------------------------------------------------
 
 
+def _regular_polygons(n):
+    """A regular n-gon on the unit circle of R^2, and the same polygon on a
+    great circle of R^5."""
+    planar = sample_circle_arc(1.0, None, 2.0 * math.pi / n, closed=True)
+    assert planar.n_vertices == n
+    frame = np.linalg.qr(np.random.default_rng(n).standard_normal((5, 2)))[0]
+    return planar, planar.vertices @ frame.T
+
+
 def test_fary_great_circle_equality():
-    great = sample_circle_arc(1.0, None, 1e-3, closed=True)
-    rep = fary_check(great)
-    assert rep.average_curvature == pytest.approx(1.0, abs=1e-9)
-    assert rep.bound_satisfied
+    # the middle bound L <= R sum 2 sin(theta / 2) is attained; the exterior
+    # angles overshoot it by pi / (n sin(pi / n))
+    for n in (16, 1000):
+        for polygon in _regular_polygons(n):
+            rep = fary_check(polygon)
+            assert abs(rep.chord_ratio - 1.0) <= 1e-12
+            excess = math.pi / (n * math.sin(math.pi / n)) - 1.0
+            assert abs((rep.average_curvature - 1.0) - excess) <= 1e-12
+            assert abs(rep.enclosing_radius - 1.0) <= 1e-15
+            assert rep.bound_satisfied
+            # the documented error model, which is also C9's tolerance
+            dim = 2 if isinstance(polygon, DiscreteCurve) else polygon.shape[1]
+            assert rep.rounding == (dim + 16) * n * np.finfo(float).eps
 
 
 def test_fary_half_radius_circle():
     c = sample_circle_arc(0.5, None, 1e-3, closed=True)
+    n = c.n_vertices
     rep = fary_check(c)
-    assert rep.average_curvature == pytest.approx(2.0, abs=1e-9)
+    # the exact polygon value: 2 pi over the perimeter n sin(pi / n)
+    assert rep.average_curvature == pytest.approx(2.0 * math.pi / (n * math.sin(math.pi / n)), rel=1e-12)
+    assert rep.enclosing_radius == pytest.approx(0.5, abs=1e-15)
+    assert rep.chord_ratio == pytest.approx(1.0, abs=1e-12)
     assert rep.bound_satisfied
 
 
@@ -293,29 +324,56 @@ def test_fary_outside_ball_rejected():
     big = sample_circle_arc(1.5, None, 1e-3, closed=True)
     with pytest.raises(InvalidComparison, match="unit ball"):
         fary_check(big)
+    # the containment test is at rounding: a scale of 1 + 1e-9 is caught
+    polygons = [*_regular_polygons(1000), random_closed_curve(np.random.default_rng(81), dim=5)]
+    for polygon in polygons:
+        fary_check(polygon)
+        vertices = polygon.vertices if isinstance(polygon, DiscreteCurve) else polygon
+        with pytest.raises(InvalidComparison, match="unit ball"):
+            fary_check(vertices * (1.0 + 1e-9))
+
+
+def test_fary_rejects_non_finite_and_degenerate_polygons():
+    square = np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]])
+    assert fary_check(square).bound_satisfied
+    for bad in (math.nan, math.inf):
+        vertices = square.copy()
+        vertices[1, 1] = bad
+        with pytest.raises(InvalidComparison, match="non-finite"):
+            fary_check(vertices)
+    with pytest.raises(InvalidComparison, match="zero-length edge"):
+        fary_check(np.vstack([square, square[:1]]))
+    for shape in (square[:2], square[:, 0]):
+        with pytest.raises(InvalidComparison, match="at least 3"):
+            fary_check(shape)
 
 
 def test_fary_random_curves_hold():
     rng = np.random.default_rng(76)
     for k in range(15):
-        c = random_closed_curve(rng, dim=3 if k % 5 else 5)
-        rep = fary_check(c)
-        assert rep.average_curvature >= 1.0 - 5e-3
+        dim = 3 if k % 5 else 5
+        polygon = random_closed_curve(rng, dim=dim)
+        assert polygon.shape[1] == dim and 64 <= len(polygon) <= 40000
+        rep = fary_check(polygon)
         assert rep.bound_satisfied
+        assert abs(rep.enclosing_radius - 1.0) <= (dim + 4) * np.finfo(float).eps
+        # L <= R sum 2 sin(theta / 2) <= R sum theta, each to rounding
+        assert rep.chord_ratio >= 1.0 - rep.rounding
+        assert rep.average_curvature * rep.enclosing_radius >= rep.chord_ratio * (1.0 - rep.rounding)
 
 
 def test_fary_equality_only_for_great_circles():
     # among the corpus, averages within 1e-3 of 1 must align to a unit circle
     rng = np.random.default_rng(77)
     corpus = [random_closed_curve(rng) for _ in range(8)]
-    corpus.append(sample_circle_arc(1.0, None, 1e-3, closed=True))
-    for curve in corpus:
-        rep = fary_check(curve)
+    corpus.append(sample_circle_arc(1.0, None, 1e-3, closed=True).vertices)
+    for polygon in corpus:
+        rep = fary_check(polygon)
         if rep.average_curvature <= 1.0 + 1e-3:
-            center, radius, residual = fit_circle(curve.vertices)
+            center, radius, residual = fit_circle(polygon)
             assert radius == pytest.approx(1.0, abs=1e-3)
             assert residual <= 1e-3
-            assert planarity_residual(curve.vertices) <= 1e-3
+            assert planarity_residual(polygon) <= 1e-3
 
 
 # -- circle fitting ---------------------------------------------
@@ -501,28 +559,78 @@ def test_space_curve_redraw_skips_parallel_row():
     assert np.array_equal(fast.vertices, without.vertices)
 
 
-def test_closed_curve_tables_cached_and_exact():
-    tables = _harmonic_tables()
-    assert _harmonic_tables() is tables
-    ks, grid, dense1, dense2, probe, grid1 = tables
-    dense = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    assert np.array_equal(ks, [1, 2, 3])
-    assert np.array_equal(grid, np.linspace(0.0, 2.0 * math.pi, 16385))
-    arg, arg_probe, arg_grid = (np.outer(u, ks) for u in (dense, dense[::16], grid))
-    expected = (
-        (-np.sin(arg) * ks, np.cos(arg) * ks),
-        (-np.cos(arg) * ks**2, -np.sin(arg) * ks**2),
-        (np.cos(arg_probe), np.sin(arg_probe)),
-        (-np.sin(arg_grid) * ks, np.cos(arg_grid) * ks),
+def _loop_coefficients(seed, dim):
+    """The loop that ``random_closed_curve`` draws from ``default_rng(seed)``,
+    by its documented stream."""
+    rng = np.random.default_rng(seed)
+    ks = np.arange(1, 4)[:, None]
+    return rng.standard_normal((3, dim)) / ks**2, rng.standard_normal((3, dim)) / ks**2, rng
+
+
+def _loop_frame(coef_cos, coef_sin, polygon):
+    """Scale R and centre c with R * polygon + c closest to the loop at the
+    polygon's uniform parameters, and the largest residual."""
+    u = 2.0 * math.pi * np.arange(len(polygon)) / len(polygon)
+    loop = sum(
+        np.outer(np.cos(k * u), a) + np.outer(np.sin(k * u), b)
+        for k, a, b in zip((1, 2, 3), coef_cos, coef_sin)
     )
-    for got, want in zip((dense1, dense2, probe, grid1), expected):
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-            assert not a.flags.writeable
-    first = random_closed_curve(np.random.default_rng(79))
-    second = random_closed_curve(np.random.default_rng(79))
-    assert np.array_equal(first.vertices, second.vertices)
-    assert first.nominal_step == second.nominal_step
+    dp, dl = polygon - polygon.mean(axis=0), loop - loop.mean(axis=0)
+    scale = float(np.sum(dp * dl) / np.sum(dp * dp))
+    centre = loop.mean(axis=0) - scale * polygon.mean(axis=0)
+    return scale, centre, float(np.max(np.abs(scale * polygon + centre - loop)))
+
+
+def test_closed_curve_samples_its_loop():
+    for seed, dim, step in ((79, 3, 1e-3), (80, 5, 2e-3), (79, 3, 0.5), (79, 3, 1e-5)):
+        first = random_closed_curve(np.random.default_rng(seed), dim=dim, step_target=step)
+        second = random_closed_curve(np.random.default_rng(seed), dim=dim, step_target=step)
+        assert np.array_equal(first, second)
+        coef_cos, coef_sin, rng = _loop_coefficients(seed, dim)
+        scale, centre, residual = _loop_frame(coef_cos, coef_sin, first)
+        assert residual <= 1e-13 * scale
+        # the vertex count follows the scaled length, clipped to [64, 40000]
+        length = float(np.sum(np.linalg.norm(np.roll(first, -1, axis=0) - first, axis=1)))
+        assert abs(len(first) / np.clip(length / step, 64, 40000) - 1.0) <= 1e-3
+        assert np.max(np.linalg.norm(first, axis=1)) == pytest.approx(1.0, abs=1e-15)
+        # the draw reads two (3, dim) blocks and nothing more
+        after = np.random.default_rng(seed)
+        assert np.array_equal(after.standard_normal(6 * dim + 1)[-1:], rng.standard_normal(1))
+
+
+def _simpson_loop_integrals(coef_cos, coef_sin):
+    """Length and total curvature of a smooth loop, by the composite Simpson
+    rule on 16,385 parameters: the arc-length rule of the generator's former
+    arc-length resampling, kept here as the oracle."""
+    from scipy.integrate import simpson
+
+    u = np.linspace(0.0, 2.0 * math.pi, 2 * 8192 + 1)
+    ks = np.arange(1, 4)
+    arg = np.outer(u, ks)
+    d1 = (-np.sin(arg) * ks) @ coef_cos + (np.cos(arg) * ks) @ coef_sin
+    d2 = (-np.cos(arg) * ks**2) @ coef_cos + (-np.sin(arg) * ks**2) @ coef_sin
+    speed_sq = np.einsum("ij,ij->i", d1, d1)
+    cross_sq = speed_sq * np.einsum("ij,ij->i", d2, d2) - np.einsum("ij,ij->i", d1, d2) ** 2
+    curvature_speed = np.sqrt(np.maximum(cross_sq, 0.0)) / speed_sq
+    return simpson(np.sqrt(speed_sq), x=u), simpson(curvature_speed, x=u)
+
+
+def test_closed_polygon_average_converges_to_smooth_loop():
+    # a polygon sampling the loop at uniform parameters has Sum theta / L within
+    # O(h^2) of the smooth loop's R int(kappa ds) / L, R the polygon's scale
+    for seed, dim in ((82, 3), (83, 5)):
+        coef_cos, coef_sin, _ = _loop_coefficients(seed, dim)
+        length, total_curvature = _simpson_loop_integrals(coef_cos, coef_sin)
+        errors, counts = [], []
+        for step in (4e-3, 2e-3, 1e-3):
+            polygon = random_closed_curve(np.random.default_rng(seed), dim=dim, step_target=step)
+            scale = _loop_frame(coef_cos, coef_sin, polygon)[0]
+            errors.append(fary_check(polygon).average_curvature - scale * total_curvature / length)
+            counts.append(len(polygon))
+        for k in (1, 2):
+            order = math.log(abs(errors[k - 1] / errors[k])) / math.log(counts[k] / counts[k - 1])
+            assert 1.9 <= order <= 2.1
+        assert abs(errors[-1]) <= 1e-5
 
 
 class _ScriptedStream(_ScriptedNormals):
