@@ -60,8 +60,8 @@ def min_enclosing_ball(points, tol: float = 1e-6, max_iter: int | None = None) -
         points = points[None, :]
     if points.size == 0:
         raise ValueError("min_enclosing_ball requires at least one point")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol = {tol!r}: expected a positive number")
     if max_iter is None:
         # compared before rounding: 2/tol overflows to inf at a denormal tol
         max_iter = 200_000 if 2.0 / tol > 200_000 else math.ceil(2.0 / tol)

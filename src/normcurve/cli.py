@@ -410,28 +410,16 @@ def _space_curve_trials(rng, trials: int, draw, after=lambda rng: None) -> list:
 
     A trial draws ``draw(rng)``, which returns (turning, step, dim, extra),
     then its curve's normal block, then ``after(rng)``.  Returns
-    (extra, curve, after's value) per trial, and leaves each curve and
-    ``rng`` as a trial-by-trial loop would.  When a trial's block runs out
-    (see ``random_space_curve``), ``rng`` goes back to its state after that
-    block, the trial is finished alone, and the later trials are drawn again.
+    (extra, curve, after's value) per trial.
     """
-    done = []
-    while len(done) < trials:
-        drawn = []
-        for _ in range(trials - len(done)):
-            turning, step, dim, extra = draw(rng)
-            block = rng.standard_normal((len(turning) + 1, dim))
-            state = rng.bit_generator.state
-            drawn.append((turning, step, block, state, extra, after(rng)))
-        turning, steps, blocks, states, extras, afters = zip(*drawn)
-        batch = curves.random_space_curve(rng, np.array(turning), np.array(steps), rows=blocks)
-        done += zip(extras, batch, afters)
-        if len(batch) < len(drawn):
-            k = len(batch)
-            rng.bit_generator.state = states[k]
-            curve = curves.random_space_curve(rng, turning[k], steps[k], rows=blocks[k])
-            done.append((extras[k], curve, after(rng)))
-    return done
+    drawn = []
+    for _ in range(trials):
+        turning, step, dim, extra = draw(rng)
+        block = rng.standard_normal((len(turning) + 1, dim))
+        drawn.append((turning, step, block, extra, after(rng)))
+    turning, steps, blocks, extras, afters = zip(*drawn)
+    batch = curves.random_space_curve(np.array(turning), np.array(steps), blocks)
+    return list(zip(extras, batch, afters))
 
 
 def check_bow(trials: int, n_edges: int, seed: int) -> dict:

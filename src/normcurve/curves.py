@@ -511,89 +511,58 @@ def random_convex_arc(
     return DiscreteCurve(vertices, nominal_step=step)
 
 
-def _rotate_tangents(rows: np.ndarray, turning: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rotate_tangents(rows: np.ndarray, turning: np.ndarray) -> np.ndarray:
     """Unit tangents of stacked ``random_space_curve`` trials, each reading
     the rows of its own block in order.
 
     ``rows`` is (trials, n + 1, D) and ``turning`` is (trials, n); returns
-    the (trials, n + 1, D) tangents and, per trial, the index of the first
-    row whose normal part fell below 1e-12 (0 when none did).  Such a trial
-    needs a row its block does not hold, and its later tangents are void.
+    the (trials, n + 1, D) tangents.  A row whose normal part is below 1e-12
+    gives no direction to turn toward and raises ``RuntimeError``.
     """
     t = rows[:, 0] / _row_norms(rows[:, 0])[:, None]
     tangents = np.empty_like(rows)
     tangents[:, 0] = t
-    skipped = np.zeros(len(rows), dtype=int)
     cos, sin = np.cos(turning), np.sin(turning)
     for j in range(turning.shape[1]):
         xi = rows[:, j + 1]
         normal = xi - _row_dots(xi, t)[:, None] * t
         nn = _row_norms(normal)
-        short = nn < 1e-12
-        if short.any():
-            skipped[short & (skipped == 0)] = j + 1
-            nn[short] = 1.0
+        if nn.min() < 1e-12:
+            raise RuntimeError("degenerate normal draw")
         t = cos[:, j, None] * t + (sin[:, j] / nn)[:, None] * normal
         t /= _row_norms(t)[:, None]
         tangents[:, j + 1] = t
-    return tangents, skipped
+    return tangents
 
 
 def random_space_curve(
-    rng: np.random.Generator,
-    turning: np.ndarray,
-    step: float | np.ndarray,
-    dim: int = 3,
-    rows: np.ndarray | list | None = None,
-) -> DiscreteCurve | list[DiscreteCurve]:
-    """Curve in R^dim realizing the prescribed turning angles exactly.
+    turning: np.ndarray, steps: np.ndarray, blocks: list[np.ndarray]
+) -> list[DiscreteCurve]:
+    """Curves realizing prescribed turning angles exactly, one per trial,
+    each twisted by its own block of random rows.
 
     At each interior vertex the tangent is rotated by the given angle
-    toward a random unit normal, which produces arbitrary torsion-like
-    twisting while keeping the discrete curvature profile exact.
-
-    Random stream: one ``rng.standard_normal((n_edges, dim))`` block, the
-    initial tangent and then the normals in order; a caller that drew the
-    block itself passes it as ``rows``.  A row whose normal part is below
-    1e-12 is skipped for the next; only a redraw past the block's end draws
-    one more ``rng.standard_normal(dim)``.  So ``rng`` is left in the state
-    that one ``(dim,)`` draw per vertex would leave.
-
-    Stacked form: a (trials, n) ``turning``, one ``step`` per trial and one
-    block per trial in ``rows`` (its width is the trial's dim) rotate every
-    trial at once, zero-padded to the widest block, where each added term
-    is an exact 0.0.  It returns the trials' curves as a list and reads
-    nothing from ``rng``.  A block holds no spare row, so a skipped row
-    makes its trial run out: the list stops before the first such trial.
-    The caller then sets ``rng`` back to its state after that trial's
-    block, finishes the trial with a single-form call on the same block
-    (whose redraws come from ``rng``), and draws the later trials again.
-    Each curve and the stream are then those of one call per trial.
+    toward the unit normal part of the next row, which produces arbitrary
+    torsion-like twisting while keeping the discrete curvature profile
+    exact.  ``turning`` is (trials, n), ``steps`` holds one step per trial,
+    and block k is an (n + 1, D_k) array, the initial tangent and then the
+    normal rows in order, whose width is the trial's dim; a caller draws it
+    as one ``rng.standard_normal((n + 1, dim))``.  Every trial rotates at
+    once, zero-padded to the widest block, where each added term is an
+    exact 0.0.  A row whose normal part is below 1e-12 raises
+    ``RuntimeError``; for N(0, 1) rows that has probability below 1e-12 per
+    row.
     """
-    turning = np.asarray(turning, dtype=float)
-    if turning.ndim == 2:
-        widths = [np.shape(block)[1] for block in rows]
-        stack = np.zeros((len(widths), turning.shape[1] + 1, max(widths)))
-        for target, block, width in zip(stack, rows, widths):
-            target[:, :width] = block
-        tangents, skipped = _rotate_tangents(stack, turning)
-        short = np.flatnonzero(skipped)
-        count = short[0] if short.size else len(widths)
-        steps = np.asarray(step, dtype=float)[:count]
-        vertices = _vertices(tangents[:count], steps)
-        return [
-            DiscreteCurve(v[:, :width], nominal_step=float(h))
-            for v, width, h in zip(vertices, widths, steps)
-        ]
-    if rows is None:
-        rows = rng.standard_normal((len(turning) + 1, dim))
-    rows = np.asarray(rows, dtype=float)
-    while True:
-        tangents, skipped = _rotate_tangents(rows[None], turning[None])
-        if not skipped[0]:
-            break
-        rows = np.vstack([np.delete(rows, skipped[0], axis=0), rng.standard_normal(rows.shape[1])])
-    return DiscreteCurve(_vertices(tangents, np.array([step], dtype=float))[0], nominal_step=step)
+    widths = [np.shape(block)[1] for block in blocks]
+    stack = np.zeros((len(widths), np.shape(turning)[1] + 1, max(widths)))
+    for target, block, width in zip(stack, blocks, widths):
+        target[:, :width] = block
+    steps = np.asarray(steps, dtype=float)
+    vertices = _vertices(_rotate_tangents(stack, np.asarray(turning, dtype=float)), steps)
+    return [
+        DiscreteCurve(v[:, :width], nominal_step=float(h))
+        for v, width, h in zip(vertices, widths, steps)
+    ]
 
 
 def _vertices(tangents: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -601,8 +570,6 @@ def _vertices(tangents: np.ndarray, steps: np.ndarray) -> np.ndarray:
     vertices = np.zeros((len(tangents), tangents.shape[1] + 1, tangents.shape[2]))
     np.cumsum(steps[:, None, None] * tangents, axis=1, out=vertices[:, 1:])
     return vertices
-
-
 
 
 def _harmonic_loop(coef_cos: np.ndarray, coef_sin: np.ndarray, count: int) -> np.ndarray:

@@ -70,8 +70,13 @@ class TorusEmbedding:
             raise ValueError("frequency vectors must be integral")
         if len(self.weights) != len(self.freqs):
             raise ValueError("one weight per frequency vector required")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be positive")
+        with np.errstate(over="ignore"):
+            w2 = self.weights**2
+        # each w^2 a positive normal float, so that w^2 and 1 / w^2 are finite and nonzero
+        bad = ~((self.weights > 0.0) & (w2 >= np.finfo(float).tiny) & (w2 < math.inf))
+        if np.any(bad):
+            weight = float(self.weights[bad][0])
+            raise ValueError(f"weights must be positive with a normal float square, got {weight!r}")
         norms = np.linalg.norm(self.freqs, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("frequency vectors must be nonzero")

@@ -23,15 +23,14 @@ gamma'' = II(gamma', gamma') with a classical 4th-order step followed by
 re-projection of the position onto the constraint set (Gauss-Newton) and
 of the velocity onto the tangent space.  ``integrate_geodesics`` steps
 several geodesics in lock step over one zero-padded (K, W) array, one row
-each.  A manifold may carry the sparse structure constants of a flat
-Jordan product (``jordan``), as the Veronese varieties do; then two closed
-forms replace solves in the integrator: the spray II(v, v) =
-2 sqrt(2) (1 - 2/m) w - 8 p o w with w = v o v, and the tangent part of v,
-the Peirce projector 4 (L_P - L_P^2) of the idempotent P.  Each is one
-``np.bincount`` per Jordan product over the constants of every row at once,
-so an RK4 step makes no solve; a row without constants falls back to one
-least-squares call.  The curvature queries always solve, so no claim they
-measure rests on the formula it would check.
+each.  The integrator takes only manifolds that carry the sparse structure
+constants of a flat Jordan product (``jordan``), as the Veronese varieties
+do, and reads two closed forms from them in place of solves: the spray
+II(v, v) = 2 sqrt(2) (1 - 2/m) w - 8 p o w with w = v o v, and the tangent
+part of v, the Peirce projector 4 (L_P - L_P^2) of the idempotent P.  Each
+is one ``np.bincount`` per Jordan product over the constants of every row
+at once, so an RK4 step makes no solve.  The curvature queries always
+solve, so no claim they measure rests on the formula it would check.
 """
 
 from __future__ import annotations
@@ -77,9 +76,10 @@ class JordanConstants(NamedTuple):
     Hermitian matrices: (x o y)[out] is the sum of value * x[left] * y[right].
 
     The indices address a flattened stack of rows.  A manifold's own
-    constants address one row; ``integrate_geodesics`` shifts the k-th row's
-    by k W in a (K, W) stack, and holds m as one number when the rows share
-    it, else as a (K, 1) column.
+    constants address one row and hold m as a number.  ``integrate_geodesics``
+    shifts the k-th row's by k W in a (K, W) stack, holds m as a (K, 1)
+    column, and sets ``spray_weight`` to the column 2 sqrt(2) (1 - 2/m),
+    the spray's factor of v o v, once per stack rather than per RK4 stage.
     """
 
     out: np.ndarray
@@ -87,6 +87,7 @@ class JordanConstants(NamedTuple):
     right: np.ndarray
     value: np.ndarray
     m: int | np.ndarray
+    spray_weight: np.ndarray | None = None
 
 
 @dataclass(eq=False)  # identity equality: a generated __eq__ would compare arrays
@@ -100,9 +101,9 @@ class ImplicitManifold:
     ``intrinsic_dim`` may be omitted, in which case it is inferred from the
     Jacobian rank at the base point.  ``jordan``, when set, holds the
     constants of a flat Jordan product for which every point p makes
-    sqrt(2) p + I/m a rank-one idempotent, as on the Veronese varieties;
-    only the integrator and ``project_velocity`` read it, for the
-    closed-form spray and tangent projection.
+    sqrt(2) p + I/m a rank-one idempotent, as on the Veronese varieties.
+    The integrator and ``project_velocity`` read it for the closed-form
+    spray and tangent projection, and reject a manifold without it.
     """
 
     quad: np.ndarray
@@ -168,8 +169,8 @@ def _kernel(manifold: ImplicitManifold, p: np.ndarray) -> tuple[int, np.ndarray]
 
 
 def _check_rank(manifold: ImplicitManifold, rank: int, on_manifold: bool = True) -> None:
-    """On the manifold the rank must equal the base-point rank; off it (Newton
-    and RK4 stage points) it need only be nonzero."""
+    """On the manifold the rank must equal the base-point rank; off it
+    (Gauss-Newton iterates) it need only be nonzero."""
     if rank == 0 or (on_manifold and rank != manifold.codim):
         raise SingularPointError(
             f"constraint rank {rank} at the query point differs from "
@@ -259,12 +260,14 @@ def project_point(manifold: ImplicitManifold, p: np.ndarray) -> np.ndarray:
 
 
 def project_velocity(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project v onto the tangent space at p and renormalize to unit length:
-    by the Peirce projector if the manifold has Jordan constants, else by one
-    solve."""
+    """Project v onto the tangent space at p by the Peirce projector of the
+    manifold's Jordan constants and renormalize to unit length.  A manifold
+    without Jordan constants is rejected."""
+    if manifold.jordan is None:
+        raise ValueError(f"manifold {manifold.name!r} has no Jordan constants for the integrator")
     p = np.asarray(p, dtype=float)[None]
     v = np.asarray(v, dtype=float)[None]
-    return _unit_rows(_tangents([manifold], manifold.jordan, p, v))[0]
+    return _unit_rows(_peirce_tangent(manifold.jordan, p, v))[0]
 
 
 def _jordan_product(jordan: JordanConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -276,10 +279,10 @@ def _jordan_product(jordan: JordanConstants, x: np.ndarray, y: np.ndarray) -> np
 
 
 def _jordan_spray(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """II(v, v) at P = sqrt(2) y + I/m for each row: with w = v o v,
-    2 sqrt(2) (w - 2 P o w) = 2 sqrt(2) (1 - 2/m) w - 8 y o w."""
+    """II(v, v) at P = sqrt(2) y + I/m for each row of a stack: with
+    w = v o v, 2 sqrt(2) (w - 2 P o w) = 2 sqrt(2) (1 - 2/m) w - 8 y o w."""
     w = _jordan_product(jordan, v, v)
-    return (2.0 * _SQRT2 * (1.0 - 2.0 / jordan.m)) * w - 8.0 * _jordan_product(jordan, y, w)
+    return jordan.spray_weight * w - 8.0 * _jordan_product(jordan, y, w)
 
 
 def _peirce_tangent(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -291,30 +294,6 @@ def _peirce_tangent(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np
     return 4.0 * (pv - (_SQRT2 * _jordan_product(jordan, y, pv) + pv / jordan.m))
 
 
-def _accelerations(manifolds, jordan, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """II(v, v) at p for each row of a (K, W) stack: the Jordan spray, then
-    one solve on each row whose manifold has no Jordan constants."""
-    a = np.zeros_like(p) if jordan is None else _jordan_spray(jordan, p, v)
-    for k, man in enumerate(manifolds):
-        if man.jordan is None:
-            pk, vk = p[k, : man.ambient_dim], v[k, : man.ambient_dim]
-            rhs = -man.hessian(vk, vk)
-            a[k, : man.ambient_dim] = _solve(man, man.jacobian(pk), rhs, on_manifold=False)
-    return a
-
-
-def _tangents(manifolds, jordan, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The tangent part of each row of v at p: the Peirce projector, then one
-    solve on each row whose manifold has no Jordan constants."""
-    t = v.copy() if jordan is None else _peirce_tangent(jordan, p, v)
-    for k, man in enumerate(manifolds):
-        if man.jordan is None:
-            jac = man.jacobian(p[k, : man.ambient_dim])
-            vk = v[k, : man.ambient_dim]
-            t[k, : man.ambient_dim] = vk - _solve(man, jac, jac @ vk)
-    return t
-
-
 def _unit_rows(t: np.ndarray) -> np.ndarray:
     speed = np.sqrt((t * t).sum(axis=1, keepdims=True))
     if speed.min() == 0.0:
@@ -322,23 +301,17 @@ def _unit_rows(t: np.ndarray) -> np.ndarray:
     return t / speed
 
 
-def _stack_jordan(manifolds, width: int) -> JordanConstants | None:
-    """The rows' Jordan constants shifted to their rows of a (K, width) stack,
-    or None when no row has any.  m is the rows' common m, else a (K, 1)
-    column with 1 on rows without constants."""
-    rows = [(k, man.jordan) for k, man in enumerate(manifolds) if man.jordan is not None]
-    if not rows:
-        return None
+def _stack_jordan(manifolds, width: int) -> JordanConstants:
+    """The rows' Jordan constants shifted to their rows of a (K, width)
+    stack, with m and the spray weight as (K, 1) columns."""
+    rows = [man.jordan for man in manifolds]
     out, left, right = (
-        np.concatenate([getattr(j, name) + k * width for k, j in rows])
+        np.concatenate([getattr(j, name) + k * width for k, j in enumerate(rows)])
         for name in ("out", "left", "right")
     )
-    shared = {j.m for _, j in rows}
-    if len(shared) == 1:
-        m = shared.pop()  # it broadcasts; rows without constants are solved over
-    else:
-        m = np.array([[man.jordan.m if man.jordan else 1] for man in manifolds])
-    return JordanConstants(out, left, right, np.concatenate([j.value for _, j in rows]), m)
+    value = np.concatenate([j.value for j in rows])
+    m = np.array([[j.m] for j in rows])
+    return JordanConstants(out, left, right, value, m, 2.0 * _SQRT2 * (1.0 - 2.0 / m))
 
 
 def _stack_residual(manifolds, width: int):
@@ -376,7 +349,8 @@ def integrate_geodesics(
 
     Each start is made admissible first: p is projected onto the constraint
     set (``project_point``), and u onto the tangent space there and
-    normalized to unit speed (``project_velocity``).  The step count is
+    normalized to unit speed (``project_velocity``, which rejects a manifold
+    without Jordan constants).  The step count is
     rounded so that the nominal step divides the length exactly.  The
     geodesics advance together as the rows of one zero-padded (K, W) array,
     W the largest ambient dimension, so each Jordan product of an RK4 stage
@@ -414,24 +388,24 @@ def integrate_geodesics(
     max_accel_sq = np.zeros(len(p))
     for step_index in range(nsteps):
         # classical RK4 on (position, velocity), every row at once
-        a1 = _accelerations(manifolds, jordan, p, v)
+        a1 = _jordan_spray(jordan, p, v)
         max_accel_sq = np.maximum(max_accel_sq, (a1 * a1).sum(axis=1))
         p2 = p + 0.5 * h * v
         v2 = v + 0.5 * h * a1
-        a2 = _accelerations(manifolds, jordan, p2, v2)
+        a2 = _jordan_spray(jordan, p2, v2)
         p3 = p + 0.5 * h * v2
         v3 = v + 0.5 * h * a2
-        a3 = _accelerations(manifolds, jordan, p3, v3)
+        a3 = _jordan_spray(jordan, p3, v3)
         p4 = p + h * v3
         v4 = v + h * a3
-        a4 = _accelerations(manifolds, jordan, p4, v4)
+        a4 = _jordan_spray(jordan, p4, v4)
         p = p + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         worst = residual(p)
         if worst.max() > 1e-12:
             for k in np.flatnonzero(worst > 1e-12):
                 p[k, : dims[k]] = project_point(manifolds[k], p[k, : dims[k]])
-        v = _unit_rows(_tangents(manifolds, jordan, p, v))
+        v = _unit_rows(_peirce_tangent(jordan, p, v))
         vertices[:, step_index + 1] = p
     return [
         DiscreteCurve(

@@ -41,6 +41,12 @@ def test_denormal_tol_keeps_the_iteration_cap():
     assert b.radius == 1.0 and b.iterations == 0 and b.converged
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_tol_not_positive_rejected(tol):
+    with pytest.raises(ValueError, match=f"^tol = {tol!r}: expected a positive number$"):
+        min_enclosing_ball(np.eye(2), tol=tol)
+
+
 def test_equilateral_triangle():
     pts = np.array(
         [[math.cos(a), math.sin(a)] for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]

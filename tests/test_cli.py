@@ -344,8 +344,8 @@ def test_failing_claim_exits_one(monkeypatch, small_config):
 
 
 def _bow_per_trial(trials: int, n_edges: int, seed: int, dims: list) -> dict:
-    # oracle: the trial-by-trial engine, one random_space_curve call a trial;
-    # the dim of each trial goes to ``dims``
+    # oracle: the trial-by-trial engine, one random_space_curve call a trial
+    # on the block it draws; the dim of each trial goes to ``dims``
     rng = np.random.default_rng([seed, 8])
     violations = 0
     for _ in range(trials):
@@ -355,7 +355,8 @@ def _bow_per_trial(trials: int, n_edges: int, seed: int, dims: list) -> dict:
         theta1 = curves.turning_angles(c1)
         factor = curves.random_curvature_profile(rng, len(theta1), high=1.0)
         dims.append(int(rng.choice([2, 3, 5])))
-        c2 = curves.random_space_curve(rng, factor * theta1, step, dim=dims[-1])
+        block = rng.standard_normal((len(theta1) + 1, dims[-1]))
+        (c2,) = curves.random_space_curve((factor * theta1)[None], [step], [block])
         report = curves.bow_check(c1, c2)
         if not report.inequality_holds:
             violations += 1
@@ -384,7 +385,8 @@ def _monotonicity_per_trial(trials: int, seed: int) -> dict:
     positives = 0
     for _ in range(trials):
         profile = curves.random_curvature_profile(rng, n_edges - 1, high=1.9)
-        curve = curves.random_space_curve(rng, profile * h, h, dim=3)
+        block = rng.standard_normal((n_edges, 3))
+        (curve,) = curves.random_space_curve((profile * h)[None], [h], [block])
         t0 = int(rng.integers(0, curve.n_vertices))
         value = curves.monotonicity_check(curve, t0)
         min_value = min(min_value, value)
@@ -593,6 +595,17 @@ def test_torus_optimize_command(tmp_path):
         ).split("=")[1]
     )
     assert achieved == pytest.approx(math.sqrt(1.5), abs=1e-3)
+
+
+def test_torus_optimize_weight_squaring_to_zero_exits_two(tmp_path, capsys):
+    # 1e-300 squares to 0.0, which would make the metric search divide by zero
+    freqs = tmp_path / "freqs.txt"
+    freqs.write_text("1,0 1.0\n0,1 1.0\n1,1 1e-300\n")
+    out = tmp_path / "torus.txt"
+    assert main(["torus", "optimize", "--freqs", str(freqs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: weights must be positive with a normal float square, got 1e-300\n"
+    assert not out.exists()
 
 
 def test_torus_optimize_failing_claim_exits_one(monkeypatch, tmp_path):

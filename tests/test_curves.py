@@ -7,7 +7,6 @@ import pytest
 
 from circle_oracle import closed_form_circle, orthonormal_pair
 from normcurve import curves, veronese
-from normcurve.cli import _space_curve_trials
 from normcurve.curves import (
     _QR_BLOCK,
     _centered_factor,
@@ -144,6 +143,12 @@ def test_bow_congruent_space_copy_rigidity():
     assert rep.rigidity_detected
 
 
+def _space_curve(rng, turning, step, dim=3):
+    """One trial of ``random_space_curve``, drawing its block from ``rng``."""
+    block = rng.standard_normal((len(turning) + 1, dim))
+    return random_space_curve(np.asarray(turning)[None], [step], [block])[0]
+
+
 def test_bow_preconditions_raise_invalid_comparison():
     half, seg = _named_pair()
     # more curved comparison curve: roles swapped
@@ -152,7 +157,7 @@ def test_bow_preconditions_raise_invalid_comparison():
     # non-planar reference
     rng = np.random.default_rng(73)
     h = half.nominal_step
-    twists = random_space_curve(rng, np.full(299, 0.5 * h), h, dim=3)
+    twists = _space_curve(rng, np.full(299, 0.5 * h), h)
     if planarity_residual(twists.vertices) > 1e-8:
         with pytest.raises(InvalidComparison, match="planar"):
             bow_check(twists, seg)
@@ -177,8 +182,7 @@ def test_bow_randomized_trials_never_violate():
         kappa_max = float(rng.uniform(0.5, 2.5))
         c1 = random_convex_arc(rng, 120, step, kappa_max)
         factor = random_curvature_profile(rng, 119, high=1.0)
-        c2 = random_space_curve(rng, factor * turning_angles(c1), step,
-                                dim=int(rng.choice([2, 3, 5])))
+        c2 = _space_curve(rng, factor * turning_angles(c1), step, int(rng.choice([2, 3, 5])))
         rep = bow_check(c1, c2)
         assert rep.inequality_holds
 
@@ -271,7 +275,7 @@ def test_monotonicity_random_positive():
     h = (math.pi / 2.0) / n
     for _ in range(200):
         profile = random_curvature_profile(rng, n - 1, high=1.9)
-        c = random_space_curve(rng, profile * h, h, dim=3)
+        c = _space_curve(rng, profile * h, h)
         t0 = int(rng.integers(0, c.n_vertices))
         assert monotonicity_check(c, t0) > 0.0
 
@@ -491,72 +495,46 @@ def test_fit_circle_exact():
     assert np.allclose(center, [2.0, -1.0, 3.0], atol=1e-12)
 
 
-
 # -- generator fast paths against their oracles -------------------------------------
 
 
-def _reference_space_curve(rng, turning, step, dim=3):
-    """The per-vertex numpy loop ``random_space_curve`` replaced."""
-    turning = np.asarray(turning, dtype=float)
-    t = rng.standard_normal(dim)
-    t /= np.linalg.norm(t)
+def _reference_space_curve(rows, turning, step):
+    """The per-vertex numpy loop ``random_space_curve`` replaced, reading
+    the rows of one block in order."""
+    t = rows[0] / np.linalg.norm(rows[0])
     tangents = [t]
-    for theta in turning:
-        xi = rng.standard_normal(dim)
+    for theta, xi in zip(turning, rows[1:]):
         normal = xi - (xi @ t) * t
-        nn = np.linalg.norm(normal)
-        while nn < 1e-12:
-            xi = rng.standard_normal(dim)
-            normal = xi - (xi @ t) * t
-            nn = np.linalg.norm(normal)
-        normal /= nn
+        normal /= np.linalg.norm(normal)
         t = math.cos(theta) * t + math.sin(theta) * normal
         t /= np.linalg.norm(t)
         tangents.append(t)
-    vertices = np.vstack([np.zeros(dim), np.cumsum(step * np.array(tangents), axis=0)])
-    return DiscreteCurve(vertices, nominal_step=step)
-
-
-class _ScriptedNormals:
-    """Stand-in generator whose ``standard_normal`` serves scripted rows."""
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
-        self.served = 0
-
-    def standard_normal(self, size):
-        count = size[0] if isinstance(size, tuple) else 1
-        out = self.rows[self.served : self.served + count]
-        self.served += count
-        return out if isinstance(size, tuple) else out[0]
+    return np.vstack([np.zeros(len(t)), np.cumsum(step * np.array(tangents), axis=0)])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_space_curve_matches_per_vertex_oracle(dim):
     h = (math.pi / 2.0) / 157
-    for seed in range(10):
-        turning = random_curvature_profile(np.random.default_rng(100 + seed), 156, high=1.9) * h
-        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        fast = random_space_curve(fast_rng, turning, h, dim=dim)
-        slow = _reference_space_curve(slow_rng, turning, h, dim=dim)
-        assert np.max(np.abs(fast.vertices - slow.vertices)) <= 1e-14
-        assert np.array_equal(fast_rng.standard_normal(4), slow_rng.standard_normal(4))
+    seeds = range(10)
+    turning = h * np.array(
+        [random_curvature_profile(np.random.default_rng(100 + s), 156, high=1.9) for s in seeds]
+    )
+    blocks = [np.random.default_rng(s).standard_normal((157, dim)) for s in seeds]
+    fast = random_space_curve(turning, np.full(10, h), blocks)
+    for curve, t, block in zip(fast, turning, blocks):
+        assert curve.nominal_step == h
+        assert np.max(np.abs(curve.vertices - _reference_space_curve(block, t, h))) <= 1e-14
 
 
-def test_space_curve_redraw_skips_parallel_row():
-    turning = np.full(5, 0.1)
-    rows = np.random.default_rng(78).standard_normal((8, 3))
-    rows[0] = [1.0, 0.0, 0.0]
-    rows[1] = [3.0, 0.0, 0.0]  # parallel to the initial tangent
-    fast_rng = _ScriptedNormals(rows)
-    fast = random_space_curve(fast_rng, turning, 0.01)
-    assert fast_rng.served == len(turning) + 2  # the block plus one redraw
-    slow_rng = _ScriptedNormals(rows)
-    slow = _reference_space_curve(slow_rng, turning, 0.01)
-    assert slow_rng.served == fast_rng.served
-    assert np.max(np.abs(fast.vertices - slow.vertices)) <= 1e-14
-    without = random_space_curve(_ScriptedNormals(np.delete(rows, 1, axis=0)), turning, 0.01)
-    assert np.array_equal(fast.vertices, without.vertices)
+def test_space_curve_rejects_a_row_along_the_tangent():
+    # the second trial's first normal row is parallel to its initial tangent
+    blocks = np.random.default_rng(78).standard_normal((3, 6, 3))
+    blocks[1, 0] = [1.0, 0.0, 0.0]
+    blocks[1, 1] = [3.0, 0.0, 0.0]
+    with pytest.raises(RuntimeError, match="^degenerate normal draw$"):
+        random_space_curve(np.full((3, 5), 0.1), np.full(3, 0.01), list(blocks))
+    kept = random_space_curve(np.full((2, 5), 0.1), np.full(2, 0.01), list(blocks[::2]))
+    assert [curve.n_vertices for curve in kept] == [7, 7]
 
 
 def _loop_coefficients(seed, dim):
@@ -633,53 +611,6 @@ def test_closed_polygon_average_converges_to_smooth_loop():
         assert abs(errors[-1]) <= 1e-5
 
 
-class _ScriptedStream(_ScriptedNormals):
-    """``_ScriptedNormals`` whose ``bit_generator.state`` is the count of
-    rows served, so a rewind serves them again."""
-
-    @property
-    def bit_generator(self):
-        return self
-
-    @property
-    def state(self):
-        return self.served
-
-    @state.setter
-    def state(self, served):
-        self.served = served
-
-
-def test_stacked_trials_rewind_to_a_redraw():
-    n, dim, trials = 5, 3, 4
-    turning = np.full(n, 0.1)
-    # per trial: its block of n + 1 rows, then one row drawn after its curve
-    rows = np.random.default_rng(87).standard_normal((trials * (n + 2) + 1, dim))
-    rows[n + 2] = [1.0, 0.0, 0.0]  # trial 1 starts along e1 ...
-    rows[n + 3] = [2.0, 0.0, 0.0]  # ... and its first normal row is parallel
-
-    sequential, expected = _ScriptedStream(rows), []
-    for _ in range(trials):
-        expected.append(random_space_curve(sequential, turning, 0.01))
-        expected.append(sequential.standard_normal(dim))
-    assert sequential.served == len(rows)
-
-    stacked = _ScriptedStream(rows)
-    got = _space_curve_trials(
-        stacked, trials, lambda rng: (turning, 0.01, dim, None), lambda rng: rng.standard_normal(dim)
-    )
-    assert stacked.served == sequential.served
-    assert len(got) == trials
-    for k, (_, curve, after) in enumerate(got):
-        assert np.array_equal(curve.vertices, expected[2 * k].vertices)
-        assert np.array_equal(after, expected[2 * k + 1])
-
-    # the stacked call alone stops before the trial that ran out
-    blocks = [rows[k * (n + 2) : k * (n + 2) + n + 1] for k in range(trials)]
-    stacked = random_space_curve(None, np.tile(turning, (trials, 1)), np.full(trials, 0.01), rows=blocks)
-    assert len(stacked) == 1
-
-
 def test_stacked_space_curves_pad_every_dim_exactly():
     rng = np.random.default_rng(88)
     h = (math.pi / 2.0) / 120
@@ -687,9 +618,9 @@ def test_stacked_space_curves_pad_every_dim_exactly():
     turning = np.array([random_curvature_profile(rng, 119, high=1.9) * h for _ in dims])
     steps = rng.uniform(0.005, 0.02, len(dims))
     blocks = [rng.standard_normal((120, d)) for d in dims]
-    stacked = random_space_curve(None, turning, steps, rows=blocks)
+    stacked = random_space_curve(turning, steps, blocks)
     assert len(stacked) == len(dims)
     for curve, t, step, block in zip(stacked, turning, steps, blocks):
-        single = random_space_curve(None, t, step, rows=block)
+        (single,) = random_space_curve(t[None], [step], [block])
         assert curve.dim == block.shape[1] and curve.nominal_step == step
         assert np.array_equal(curve.vertices, single.vertices)

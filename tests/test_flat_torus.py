@@ -1,6 +1,7 @@
 """Flat-torus embeddings: closed-form curvature, worst directions, optimizer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ def test_validation():
         TorusEmbedding(np.array([[1.5, 0.0]]), np.array([1.0]))
     with pytest.raises(ValueError, match="positive"):
         TorusEmbedding(np.array([[1, 0], [0, 1]]), np.array([1.0, -1.0]))
+    # w^2 must be a positive normal float: 1e-300 squares to 0, 1e-155 to a
+    # subnormal, 1e200 to inf
+    for weight in (1e-300, 1e200, 1e-155, math.nan):
+        message = f"normal float square, got {re.escape(repr(weight))}$"
+        with pytest.raises(ValueError, match=message):
+            TorusEmbedding(triangular_family(2), np.array([1.0, 1.0, weight]))
     with pytest.raises(ValueError, match="non-parallel"):
         TorusEmbedding(np.array([[1, 0], [2, 0]]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="nonzero"):
@@ -375,6 +382,15 @@ def test_optimizer_single_frequency():
 def test_optimizer_infeasible_start_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         optimize_weights(np.array([[1, 0]]), np.array([1.0]), budget=10)
+
+
+def test_optimizer_steps_back_from_subnormal_squares():
+    # from w = 1e-150 (w^2 = 1e-300) Nelder-Mead reaches weights whose square
+    # is subnormal; each such step is infeasible, and no 1 / w^2 overflows
+    start = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-150])
+    result = optimize_weights(triangular_family(3), start, budget=50, grid=256)
+    assert result.evaluations == 50
+    assert curvature_bound(3) <= result.value <= result.history[0][1]
 
 
 def test_n3_experiment_beats_product_torus():

@@ -95,7 +95,6 @@ APEX_QUERIES = [
     (normal_curvature, (E1,)),
     (mean_curvature_vector, ()),
     (sectional_curvature, (E1, E2)),
-    (project_velocity, (E1,)),
 ]
 
 
@@ -490,9 +489,9 @@ def dense_closed_forms(spc):
     return spray, tangent
 
 
-def dense_geodesic(var, p, u, length, step):
-    """Vertices of the one-plane RK4 loop on the dense closed forms."""
-    spray, tangent = dense_closed_forms(veronese.space_from_name(var.name))
+def _rk4_geodesic(var, p, u, length, step, spray, tangent):
+    """Vertices of the one-plane RK4 loop of ``integrate_geodesics`` with the
+    given spray (y, v) -> II(v, v) and tangent projection."""
 
     def unit_tangent(p, v):
         t = tangent(p, v)
@@ -520,6 +519,30 @@ def dense_geodesic(var, p, u, length, step):
     return np.array(vertices)
 
 
+def dense_geodesic(var, p, u, length, step):
+    """The RK4 loop on the dense closed forms."""
+    spray, tangent = dense_closed_forms(veronese.space_from_name(var.name))
+    return _rk4_geodesic(var, p, u, length, step, spray, tangent)
+
+
+def least_squares_geodesic(var, p, u, length, step):
+    """The RK4 loop with each acceleration and tangent projection one
+    minimum-norm solve at the engine's rank cut, read from the constraint
+    map alone.  Stage points lie off the variety, so the solves are direct
+    ``np.linalg.lstsq`` calls with no rank check."""
+
+    def solve(y, rhs):
+        return np.linalg.lstsq(var.jacobian(y), rhs, rcond=manifold.RANK_TOL)[0]
+
+    def spray(y, v):
+        return solve(y, -var.hessian(v, v))
+
+    def tangent(y, v):
+        return v - solve(y, var.jacobian(y) @ v)
+
+    return _rk4_geodesic(var, p, u, length, step, spray, tangent)
+
+
 @pytest.mark.parametrize("name", VARIETY_SPACES)
 def test_spray_matches_least_squares_solve(name):
     # oracle: the normal-space solve Dc(p) a = -D^2c[v, v] on the variety
@@ -536,15 +559,16 @@ def test_spray_matches_least_squares_solve(name):
 
 
 def test_spray_geodesic_matches_least_squares_geodesic():
-    # OP2 has no closed-form circle: the solve-driven integrator is the oracle
+    # OP2 has no closed-form circle: the solve-driven loop is the oracle
     spc = veronese.space("octonion", 2)
     var = veronese.variety(spc)
     rng = np.random.default_rng(55)
     p0 = veronese.sample_points(spc, 1, rng)[0]
     u = random_tangent(var, p0, rng)
     fast = integrate_geodesic(var, p0, u, math.pi, step=1e-2)
-    slow = integrate_geodesic(dataclasses.replace(var, jordan=None), p0, u, math.pi, step=1e-2)
-    assert np.max(np.linalg.norm(fast.vertices - slow.vertices, axis=1)) <= 1e-9
+    slow = least_squares_geodesic(var, p0, u, math.pi, step=1e-2)
+    assert fast.vertices.shape == slow.shape
+    assert np.max(np.linalg.norm(fast.vertices - slow, axis=1)) <= 1e-9
 
 
 @pytest.mark.parametrize("name", VARIETY_SPACES)
@@ -603,10 +627,9 @@ def test_lock_step_matches_per_plane_dense_oracle():
 
 
 def test_lock_step_mixes_spaces_and_solved_rows():
-    # CP2 (m = 3) and RP3 (m = 4) share one stack with a sphere, whose row
-    # has no Jordan constants and takes one solve per stage
-    rows = [veronese.variety(veronese.space_from_name(name)) for name in ("cp2", "rp3")]
-    rows.insert(1, sphere_manifold(0.5))
+    # CP1 (m = 2), CP2 (m = 3) and RP3 (m = 4) share one stack of widths 4,
+    # 9 and 10, so each row reads its own m and spray weight from the stacked columns
+    rows = [veronese.variety(veronese.space_from_name(name)) for name in ("cp1", "cp2", "rp3")]
     starts = [var.base_point for var in rows]
     directions = [tangent_basis(var, var.base_point)[0] for var in rows]
     stacked = manifold.integrate_geodesics(rows, starts, directions, 1.0, 1e-2)
@@ -675,23 +698,45 @@ def test_geodesics_project_starts_and_stray_rows(monkeypatch):
 # -- geodesic integration ------------------------------------------------------
 
 
+def cp1_variety() -> ImplicitManifold:
+    # CP1 is a round 2-sphere of radius 1/2: normal curvature 2, great circles of length pi
+    return veronese.variety(veronese.space_from_name("cp1"))
+
+
 def test_integrate_zero_length():
-    var = sphere_manifold(0.5)
-    curve = integrate_geodesic(var, var.base_point, np.array([0.0, 1.0, 0.0]), 0.0)
+    var = cp1_variety()
+    curve = integrate_geodesic(var, var.base_point, tangent_basis(var, var.base_point)[0], 0.0)
     assert curve.n_vertices == 1
     assert np.array_equal(curve.vertices[0], var.base_point)
 
 
 def test_geodesics_need_one_start_and_direction_per_manifold():
-    var = sphere_manifold(0.5)
+    var = cp1_variety()
     for args in (([var], [var.base_point], []), ([], [], [])):
         with pytest.raises(ValueError, match="one start and one direction"):
             manifold.integrate_geodesics(*args, 1.0, 1e-2)
 
 
+def test_geodesics_need_jordan_constants():
+    # a round sphere cut out by |x|^2 - r^2 carries no Jordan constants; the
+    # integrator refuses it alone and as one row of a stack
+    var, sphere = cp1_variety(), dataclasses.replace(sphere_manifold(0.5), name="S2")
+    u, e1 = tangent_basis(var, var.base_point)[0], np.array([0.0, 1.0, 0.0])
+    message = "^manifold 'S2' has no Jordan constants for the integrator$"
+    with pytest.raises(ValueError, match=message):
+        project_velocity(sphere, sphere.base_point, e1)
+    with pytest.raises(ValueError, match=message):
+        integrate_geodesic(sphere, sphere.base_point, e1, 1.0, 1e-2)
+    with pytest.raises(ValueError, match=message):
+        manifold.integrate_geodesics(
+            [var, sphere], [var.base_point, sphere.base_point], [u, e1], 1.0, 1e-2
+        )
+
+
 def test_integrate_sphere_great_circle():
-    var = sphere_manifold(0.5)
-    curve = integrate_geodesic(var, var.base_point, np.array([0.0, 1.0, 0.0]), math.pi, step=1e-3)
+    var = cp1_variety()
+    u = tangent_basis(var, var.base_point)[0]
+    curve = integrate_geodesic(var, var.base_point, u, math.pi, step=1e-3)
     assert np.linalg.norm(curve.vertices[-1] - curve.vertices[0]) <= 1e-9
     from normcurve.curves import discrete_curvature
 
