@@ -67,9 +67,10 @@ DEFAULTS: dict[str, dict[str, int | float]] = {
 # Least valid values above the default floors (1 for a count, any positive
 # value for a step or tolerance).  A bow arc of one edge has no turning angle
 # to compare.  A ball tolerance below 1e-15 is finer than the rounding of the
-# ball's primal and dual bounds, so the ball may never certify and runs to its
-# iteration cap: two of C2's five clouds do at 2.2e-16, and at 1e-15 all five
-# close in 0 iterations.
+# ball's primal and dual bounds, so a ball may stop at the exact optimum
+# uncertified: at 2.2e-16 every C2 cloud leaves the mean and takes 3 to 26
+# pivots, and at seed 0 HP2 ends there with a gap of 3.8e-16 of its radius;
+# at 1e-15 all five close in 0 iterations.
 _FLOORS = {("curves", "bow_edges"): 2, ("veronese", "ball_tol"): 1e-15}
 
 

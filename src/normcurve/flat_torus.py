@@ -85,7 +85,14 @@ class TorusEmbedding:
         np.fill_diagonal(gram, 0.0)
         if np.any(gram > 1.0 - 1e-12):
             raise ValueError("frequency vectors must be pairwise non-parallel")
-        eigvals = np.linalg.eigvalsh(self.metric)
+        with np.errstate(over="ignore"):
+            metric = self.metric
+            finite = math.isfinite(float(w2.sum())) and np.all(np.isfinite(metric))
+        if not finite:
+            raise ValueError(
+                "weights too large: the metric or the sum of squared weights overflows"
+            )
+        eigvals = np.linalg.eigvalsh(metric)
         if eigvals[0] <= 1e-12 * max(eigvals[-1], 1.0):
             raise ValueError("degenerate metric: frequencies do not span R^n")
 

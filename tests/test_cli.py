@@ -294,7 +294,7 @@ def test_single_edge_bow_arc_rejected(tmp_path, capsys):
 
 
 def test_ball_tol_below_rounding_rejected(tmp_path):
-    # below 1e-15 the certified ball cannot close its gap and runs to the cap
+    # below 1e-15 the certified ball may stop at its optimum without closing its gap
     bad = tmp_path / "tol.ini"
     bad.write_text("[veronese]\nball_tol = 2.2e-16\n")
     with pytest.raises(ValueError) as err:

@@ -42,6 +42,12 @@ def test_validation():
         message = f"normal float square, got {re.escape(repr(weight))}$"
         with pytest.raises(ValueError, match=message):
             TorusEmbedding(triangular_family(2), np.array([1.0, 1.0, weight]))
+    # each w^2 is finite, but the metric or the sum of the w^2 overflows
+    overflow = "^weights too large: the metric or the sum of squared weights overflows$"
+    with pytest.raises(ValueError, match=overflow):
+        TorusEmbedding(triangular_family(2), np.array([1e154, 1e154, 1e154]))
+    with pytest.raises(ValueError, match=overflow):
+        TorusEmbedding(np.array([[1, 0], [0, 1]]), np.array([1.3e154, 1.3e154]))
     with pytest.raises(ValueError, match="non-parallel"):
         TorusEmbedding(np.array([[1, 0], [2, 0]]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="nonzero"):
