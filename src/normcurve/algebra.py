@@ -1,16 +1,18 @@
 """The four normed division algebras over the reals: R, C, H, and O.
 
 Elements are coefficient vectors in the fixed basis (1, e1, ..., e_{d-1})
-with d in {1, 2, 4, 8}.  Products come from a dense structure-constant
-tensor built once per algebra by Cayley-Dickson doubling with the
-convention
+with d in {1, 2, 4, 8}.  The structure-constant tensor ``table`` is built
+once per algebra by Cayley-Dickson doubling with the convention
 
     (a, b) * (c, d) = (a*c - conj(d)*b,  d*a + b*conj(c)),
 
 which reproduces the standard quaternion table (i*j = k) and yields the
-octonions as pairs of quaternions.  Callers contract ``table`` with
-arrays whose trailing axis holds the coefficients, and conjugate by
-multiplying with ``conj_signs``.
+octonions as pairs of quaternions.  Every basis product is a signed basis
+element, e_p e_q = +-e_k, so the table is a signed permutation: d^2 of its
+d^3 entries are nonzero (64 of 512 on O).  ``right_matrices`` multiplies
+by that structure, a gather and a sign per (p, k) in place of a dense
+contraction; the dense ``table`` stays for the variety's one-off tensors
+and for the tests.  Conjugate by multiplying with ``conj_signs``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,18 @@ def _doubled(table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _signed_permutation(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The q and the sign with e_p e_q = sign e_k, for each (p, k)."""
+    p, q, k = np.nonzero(table)
+    index = np.empty(table.shape[:2], dtype=np.intp)
+    index[p, k] = q
+    signs = np.zeros(table.shape[:2])
+    signs[p, k] = table[p, q, k]
+    index.setflags(write=False)
+    signs.setflags(write=False)
+    return index, signs
+
+
 @lru_cache(maxsize=None)
 def _structure_tensor(dim: int) -> np.ndarray:
     if dim == 1:
@@ -79,6 +93,7 @@ class Algebra:
         self.kind = kind
         self.dim = _KIND_DIMS[kind]
         self.table = _structure_tensor(self.dim)
+        self.perm, self.perm_signs = _signed_permutation(self.table)
         signs = -np.ones(self.dim)
         signs[0] = 1.0
         signs.setflags(write=False)
@@ -86,6 +101,14 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra({self.kind!r})"
+
+    def right_matrices(self, y: np.ndarray) -> np.ndarray:
+        """The matrices of right multiplication by y, over leading axes:
+        R[..., p, k] = perm_signs[p, k] y[..., perm[p, k]], so that
+        (x y)_k = sum_p x_p R[p, k].  Exact: each entry is +-y_q."""
+        r = y.reshape(-1, self.dim).take(self.perm.ravel(), axis=1)
+        r *= self.perm_signs.ravel()  # in place: no second block-sized array
+        return r.reshape(y.shape + (self.dim,))
 
     def random(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         """Standard Gaussian coefficients, shape ``shape + (dim,)``."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,12 +138,17 @@ class DirectionSearch:
     value: float
 
 
+@lru_cache(maxsize=4)
 def _fibonacci_hemisphere(count: int) -> np.ndarray:
+    """``count`` unit vectors spread over the upper hemisphere; built once
+    per count and read-only, since every n = 3 search starts from them."""
     i = np.arange(count)
     z = (i + 0.5) / count  # upper hemisphere; kappa is even in u
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
     r = np.sqrt(1.0 - z**2)
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    grid = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    grid.setflags(write=False)
+    return grid
 
 
 def _newton_ascent(

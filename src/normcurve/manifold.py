@@ -28,8 +28,14 @@ constants of a flat Jordan product (``jordan``), as the Veronese varieties
 do, and reads two closed forms from them in place of solves: the spray
 II(v, v) = 2 sqrt(2) (1 - 2/m) w - 8 p o w with w = v o v, and the tangent
 part of v, the Peirce projector 4 (L_P - L_P^2) of the idempotent P.  Each
-is one ``np.bincount`` per Jordan product over the constants of every row
-at once, so an RK4 step makes no solve.  The curvature queries always
+Jordan product gathers its terms over the constants of every row at once
+and sums them, in the constants' order, by one ``np.bincount``, so an RK4
+step makes no solve.  What the step reads is built once per call: the
+stacked constants, m and the spray's weight as columns, the constants times
+-8 for the spray's second product, and a buffer for the residual.  Each RK4
+stage holds [p, v, a] in one array, so a stage update is one operation on
+the state (p, v) along the derivative (v, a).  All of it computes what the
+separate arrays computed, bit for bit.  The curvature queries always
 solve, so no claim they measure rests on the formula it would check.
 """
 
@@ -77,9 +83,12 @@ class JordanConstants(NamedTuple):
 
     The indices address a flattened stack of rows.  A manifold's own
     constants address one row and hold m as a number.  ``integrate_geodesics``
-    shifts the k-th row's by k W in a (K, W) stack, holds m as a (K, 1)
-    column, and sets ``spray_weight`` to the column 2 sqrt(2) (1 - 2/m),
-    the spray's factor of v o v, once per stack rather than per RK4 stage.
+    shifts the k-th row's by k W in a (K, W) stack and, once per stack rather
+    than per RK4 stage, precomputes what the spray reads: m as a (K, 1)
+    column, ``spray_weight`` as the column 2 sqrt(2) (1 - 2/m), the factor
+    of v o v, and ``spray_value`` as -8 value, the constants of -8 y o w.
+    Every product sums its terms per output in the order of the constants,
+    by ``np.bincount``.
     """
 
     out: np.ndarray
@@ -88,6 +97,7 @@ class JordanConstants(NamedTuple):
     value: np.ndarray
     m: int | np.ndarray
     spray_weight: np.ndarray | None = None
+    spray_value: np.ndarray | None = None
 
 
 @dataclass(eq=False)  # identity equality: a generated __eq__ would compare arrays
@@ -270,28 +280,34 @@ def project_velocity(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -
     return _unit_rows(_peirce_tangent(manifold.jordan, p, v))[0]
 
 
-def _jordan_product(jordan: JordanConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x o y row by row over a (K, W) stack: one bincount over the constants."""
-    terms = x.take(jordan.left)
-    terms *= jordan.value
-    terms *= y.take(jordan.right)
-    return np.bincount(jordan.out, terms, minlength=x.size).reshape(x.shape)
+def _contract(jordan: JordanConstants, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x o y row by row over a (K, W) stack, given the terms x[left] value:
+    each term times y[right], summed into its output by one bincount."""
+    terms = terms * y.take(jordan.right)
+    return np.bincount(jordan.out, terms, minlength=y.size).reshape(y.shape)
 
 
 def _jordan_spray(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """II(v, v) at P = sqrt(2) y + I/m for each row of a stack: with
-    w = v o v, 2 sqrt(2) (w - 2 P o w) = 2 sqrt(2) (1 - 2/m) w - 8 y o w."""
-    w = _jordan_product(jordan, v, v)
-    return jordan.spray_weight * w - 8.0 * _jordan_product(jordan, y, w)
+    w = v o v, 2 sqrt(2) (w - 2 P o w) = 2 sqrt(2) (1 - 2/m) w - 8 y o w,
+    the -8 read from the stack's ``spray_value``."""
+    terms = v.take(jordan.left)
+    terms *= jordan.value
+    w = _contract(jordan, terms, v)
+    terms = y.take(jordan.left)
+    terms *= jordan.spray_value
+    return jordan.spray_weight * w + _contract(jordan, terms, w)
 
 
 def _peirce_tangent(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The tangent part of each row of v at P = sqrt(2) y + I/m.  The tangent
     space at a rank-one P is the Peirce 1/2-space of L_P, so this is
     4 (P o v - P o (P o v)), orthogonal because L_P is self-adjoint for the
-    trace form."""
-    pv = _SQRT2 * _jordan_product(jordan, y, v) + v / jordan.m
-    return 4.0 * (pv - (_SQRT2 * _jordan_product(jordan, y, pv) + pv / jordan.m))
+    trace form.  Both products share the terms of y."""
+    terms = y.take(jordan.left)
+    terms *= jordan.value
+    pv = _SQRT2 * _contract(jordan, terms, v) + v / jordan.m
+    return 4.0 * (pv - (_SQRT2 * _contract(jordan, terms, pv) + pv / jordan.m))
 
 
 def _unit_rows(t: np.ndarray) -> np.ndarray:
@@ -303,7 +319,9 @@ def _unit_rows(t: np.ndarray) -> np.ndarray:
 
 def _stack_jordan(manifolds, width: int) -> JordanConstants:
     """The rows' Jordan constants shifted to their rows of a (K, width)
-    stack, with m and the spray weight as (K, 1) columns."""
+    stack, with m and the spray weight as (K, 1) columns and the values
+    times -8 for the spray; -8 is a power of 2, so folding it into each
+    term leaves the sum what -8 times the sum was, bit for bit."""
     rows = [man.jordan for man in manifolds]
     out, left, right = (
         np.concatenate([getattr(j, name) + k * width for k, j in enumerate(rows)])
@@ -311,13 +329,14 @@ def _stack_jordan(manifolds, width: int) -> JordanConstants:
     )
     value = np.concatenate([j.value for j in rows])
     m = np.array([[j.m] for j in rows])
-    return JordanConstants(out, left, right, value, m, 2.0 * _SQRT2 * (1.0 - 2.0 / m))
+    return JordanConstants(out, left, right, value, m, 2.0 * _SQRT2 * (1.0 - 2.0 / m), -8.0 * value)
 
 
 def _stack_residual(manifolds, width: int):
-    """The function p -> max |c(p_k)| per row of a (K, width) stack, each row
-    by its own constraint map, read as a quadratic form in (p, 1): one
-    bincount over the nonzero coefficients of every row."""
+    """The function p -> |c(p_k)| of a (K, width) stack, one row of the
+    result per row of p, each by its own constraint map read as a quadratic
+    form in (p, 1): one bincount over the nonzero coefficients of every row,
+    with (p, 1) laid out in a buffer made once."""
     one = len(manifolds) * width  # where the 1 is appended to the flattened stack
     height = max(len(man.const) for man in manifolds)
     terms = []  # (out, left, right, value) of each nonzero coefficient
@@ -328,11 +347,14 @@ def _stack_residual(manifolds, width: int):
             factors += [np.full(len(index[0]), one)] * (2 - len(factors))
             terms.append((index[0] + k * height, *factors, coeffs[index]))
     out, left, right, value = map(np.concatenate, zip(*terms))
+    flat = np.ones(one + 1)  # the stack, then the 1
 
     def residual(p: np.ndarray) -> np.ndarray:
-        flat = np.append(p, 1.0)
-        c = np.bincount(out, value * flat.take(left) * flat.take(right), len(manifolds) * height)
-        return np.abs(c).reshape(-1, height).max(axis=1)
+        flat[:one] = p.reshape(-1)
+        terms = flat.take(left)
+        terms *= value
+        terms *= flat.take(right)
+        return np.abs(np.bincount(out, terms, len(manifolds) * height)).reshape(-1, height)
 
     return residual
 
@@ -386,26 +408,30 @@ def integrate_geodesics(
     vertices = np.empty((len(p), nsteps + 1, p.shape[1]))
     vertices[:, 0] = p
     max_accel_sq = np.zeros(len(p))
+    # RK4 on the state (p, v), whose derivative is (v, a): each stage holds
+    # [p, v, a], so its first two rows are a state and its last two a
+    # derivative, and a stage update is one operation on both
+    stages = np.empty((4, 3) + p.shape)
+    stages[0, 0], stages[0, 1] = p, v
+    p, v, a = stages[0]
+    state, derivs = stages[0, :2], stages[:, 1:]
+    half = 0.5 * h
+    updates = [  # (derivative, step, stage state, p, v, a)
+        (derivs[i - 1], c, stages[i, :2], *stages[i]) for i, c in ((1, half), (2, half), (3, h))
+    ]
+    sixth = h / 6.0
     for step_index in range(nsteps):
-        # classical RK4 on (position, velocity), every row at once
-        a1 = _jordan_spray(jordan, p, v)
-        max_accel_sq = np.maximum(max_accel_sq, (a1 * a1).sum(axis=1))
-        p2 = p + 0.5 * h * v
-        v2 = v + 0.5 * h * a1
-        a2 = _jordan_spray(jordan, p2, v2)
-        p3 = p + 0.5 * h * v2
-        v3 = v + 0.5 * h * a2
-        a3 = _jordan_spray(jordan, p3, v3)
-        p4 = p + h * v3
-        v4 = v + h * a3
-        a4 = _jordan_spray(jordan, p4, v4)
-        p = p + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        a[:] = _jordan_spray(jordan, p, v)
+        max_accel_sq = np.maximum(max_accel_sq, (a * a).sum(axis=1))
+        for prev, c, stage, p_i, v_i, a_i in updates:
+            np.add(state, c * prev, out=stage)
+            a_i[:] = _jordan_spray(jordan, p_i, v_i)
+        state += sixth * (derivs[0] + 2.0 * derivs[1] + 2.0 * derivs[2] + derivs[3])
         worst = residual(p)
         if worst.max() > 1e-12:
-            for k in np.flatnonzero(worst > 1e-12):
+            for k in np.flatnonzero(worst.max(axis=1) > 1e-12):
                 p[k, : dims[k]] = project_point(manifolds[k], p[k, : dims[k]])
-        v = _unit_rows(_peirce_tangent(jordan, p, v))
+        v[:] = _unit_rows(_peirce_tangent(jordan, p, v))
         vertices[:, step_index + 1] = p
     return [
         DiscreteCurve(

@@ -179,16 +179,21 @@ def _coerce_vector(spc: VeroneseSpace, v) -> np.ndarray:
 
 def _flat_points(spc: VeroneseSpace, vs: np.ndarray) -> np.ndarray:
     """Flat coordinates of the centered, rescaled projections of a batch of
-    unit homogeneous vectors, shape (k, m, dim) -> (k, flat_dim)."""
+    unit homogeneous vectors, shape (k, m, dim) -> (k, flat_dim).  The
+    entries v_i conj(v_j) come from the right-multiplication matrices of
+    conj(v_j), exactly the dense table's contraction."""
     alg = spc.algebra
     bad = [x for x in np.linalg.norm(vs.reshape(len(vs), -1), axis=1) if abs(x - 1.0) > 1e-9]
     if bad:
         raise ValueError(f"homogeneous representative must be unit (got |v| = {bad[0]:.12g})")
-    proj = np.einsum("pqk,nip,njq->nijk", alg.table, vs, vs * alg.conj_signs)
+    proj = np.einsum("nip,njpk->nijk", vs, alg.right_matrices(vs * alg.conj_signs))
     if alg.kind == "octonion":
-        pairs = np.einsum("nijp,njlq->nilpq", proj, proj).reshape(proj.shape[:3] + (-1,))
-        square = pairs @ alg.table.reshape(-1, alg.dim)  # P P, P o P for P = v v*
-        drift = np.max(np.linalg.norm((square - proj).reshape(len(vs), -1), axis=1))
+        # (P P)[i, l] = sum_j P[i, j] P[j, l] for P = v v*: each row of P
+        # times the right-multiplication matrices of a column, indexed [l, i]
+        cols = proj.transpose(0, 2, 1, 3)
+        right = alg.right_matrices(cols).reshape(len(vs), spc.m, -1, alg.dim)
+        square = proj.reshape(len(vs), 1, spc.m, -1) @ right
+        drift = np.max(np.linalg.norm((square - cols).reshape(len(vs), -1), axis=1))
         if drift > 1e-10:
             raise ValueError(
                 "invalid octonionic representative: entries do not generate "
@@ -224,9 +229,9 @@ def random_homogeneous(spc: VeroneseSpace, rng: np.random.Generator) -> np.ndarr
 
 # Frames per block in ``sample_points``.  A block of k frames holds m k
 # vectors, and flattening them builds their (m k, m, m, dim) projections
-# and, on OP2, an (m k, m, m, dim^2) idempotency check: near 1 MB at 64
-# frames, where one block for a whole 1000-point OP2 cloud raised the
-# benchmark's peak RSS by 12%.
+# and, on OP2, the (m k, m, m, dim, dim) right-multiplication matrices of
+# the idempotency check: near 1 MB at 64 frames, where one block for a
+# whole 1000-point OP2 cloud raised the benchmark's peak RSS by 12%.
 _FRAME_BLOCK = 64
 
 
@@ -242,7 +247,11 @@ def _random_frames(spc: VeroneseSpace, count: int, rng: np.random.Generator) -> 
     """``count`` orthonormal frames (m unit vectors, pairwise Hermitian-
     orthogonal), shape (count, m, m, dim).
 
-    Gram-Schmidt over the algebra, all frames at once.  The draws are those
+    Gram-Schmidt over the algebra, all frames at once, multiplying through
+    the algebra's signed permutation (``right_matrices``) and summing each
+    inner product in the order in which the dense table's contraction
+    summed it, so the frames are those of the dense form bit for bit.  The
+    draws are those
     of drawing the frames one by one: per frame, a unit vector from
     ``random_homogeneous``, then m - 1 Gaussian vectors.  For the octonions
     the first vector has a real entry and the completion uses standard basis
@@ -256,8 +265,10 @@ def _random_frames(spc: VeroneseSpace, count: int, rng: np.random.Generator) -> 
         cols = np.zeros((count, m, m, alg.dim))
         for frame in cols:
             frame[0] = random_homogeneous(spc, rng)
-            anchor = int(np.argmax(np.linalg.norm(frame[0], axis=1)))
-            frame[np.arange(1, m), np.delete(np.arange(m), anchor), 0] = 1.0
+        # e_r, for each entry r but the largest of the first vector, in order
+        anchor = np.argmax(np.linalg.norm(cols[:, 0], axis=2), axis=1)
+        rest = np.arange(m - 1)
+        cols[np.arange(count)[:, None], rest + 1, rest + (rest >= anchor[:, None]), 0] = 1.0
     else:
         cols = alg.random(rng, (count, m, m))
         cols[:, 0] /= _frame_norms(cols[:, 0])[:, None, None]
@@ -266,8 +277,12 @@ def _random_frames(spc: VeroneseSpace, count: int, rng: np.random.Generator) -> 
     for j in range(m):
         w = cols[:, j]
         for i in range(j):
-            coeff = np.einsum("pqk,fip,fiq->fk", alg.table, frames[:, i] * alg.conj_signs, w)
-            w = w - np.einsum("pqk,fip,fq->fik", alg.table, frames[:, i], coeff)
+            u = frames[:, i]
+            # <u, w> = sum over entries of conj(u) w, its terms in (entry, p)
+            # order and summed in that order, as the dense einsum summed them
+            terms = (u * alg.conj_signs)[..., None] * alg.right_matrices(w)
+            coeff = terms.transpose(1, 2, 0, 3).reshape(-1, count, alg.dim).sum(axis=0)
+            w = w - np.einsum("fip,fpk->fik", u, alg.right_matrices(coeff))
         norm = _frame_norms(w)
         if np.any(norm < 1e-8):
             raise RuntimeError("degenerate frame draw")

@@ -56,6 +56,21 @@ def test_full_table_matches_pair_oracle(alg):
             assert np.array_equal(got, want), f"e{i} * e{j} disagrees for {alg.kind}"
 
 
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.kind)
+def test_signed_permutation_rebuilds_the_table(alg):
+    # e_p e_q = perm_signs[p, k] e_k for q = perm[p, k]: one nonzero per (p, k)
+    rebuilt = np.zeros_like(alg.table)
+    p, k = np.indices((alg.dim, alg.dim))
+    rebuilt[p, alg.perm, k] = alg.perm_signs
+    assert np.array_equal(rebuilt, alg.table)
+    assert np.count_nonzero(alg.table) == alg.dim**2
+    # right multiplication by y gathers and signs what the table contracts
+    y = alg.random(np.random.default_rng(16), (5, 3))
+    dense = np.einsum("pqk,...q->...pk", alg.table, y)
+    assert np.array_equal(alg.right_matrices(y), dense)
+    assert np.array_equal(alg.right_matrices(y[:, 1]), dense[:, 1])  # a strided view
+
+
 def test_complex_identity_times_i():
     one = np.array([1.0, 0.0])
     i = np.array([0.0, 1.0])

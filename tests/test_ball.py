@@ -1,5 +1,6 @@
 """Minimal enclosing ball: feasibility, optimality witnesses, certificate, known sets."""
 
+import itertools
 import math
 
 import numpy as np
@@ -255,6 +256,84 @@ def test_degenerate_sets_certify_to_rounding(family):
         again = min_enclosing_ball(pts, tol=1e-12)
         assert again.radius == b.radius and again.iterations == b.iterations
         assert np.array_equal(again.center, b.center)
+
+
+def _brute_force_radius(pts):
+    """Independent oracle for small sets: the circumcentre of every affinely
+    independent subset of at most D + 1 points, and the least covering
+    radius among them.  No centre covers with less than the minimal radius,
+    and the minimal centre is the circumcentre of its support, so the least
+    is the minimal radius, cospherical or not."""
+    centers = [pts]  # the one-point subsets
+    for size in range(2, min(len(pts), pts.shape[1] + 1) + 1):
+        subsets = np.array(list(itertools.combinations(range(len(pts)), size)))
+        base = pts[subsets[:, 0]]
+        edges = pts[subsets[:, 1:]] - base[:, None]
+        gram = edges @ edges.transpose(0, 2, 1)  # |c - p_i| = |c - base|: 2 gram lam = diag
+        keep = np.linalg.matrix_rank(gram) == size - 1
+        rhs = np.diagonal(gram[keep], axis1=1, axis2=2)[..., None]
+        lam = np.linalg.solve(2.0 * gram[keep], rhs)
+        centers.append(base[keep] + (lam.transpose(0, 2, 1) @ edges[keep])[:, 0])
+    centers = np.concatenate(centers)
+    return float(np.min(np.max(np.linalg.norm(pts - centers[:, None], axis=2), axis=1)))
+
+
+def _small_cospherical(rng):
+    # up to 10 points on a sphere in R^2 or R^3, on a cap of random size:
+    # the sphere is the minimal ball only when the cap is wide enough
+    dim = int(rng.integers(2, 4))
+    axis = np.eye(dim)[0]
+    pts = rng.standard_normal((int(rng.integers(2, 11)), dim))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.where((pts @ axis)[:, None] < rng.uniform(-1.0, 0.5), -pts, pts)
+    return rng.uniform(0.5, 2.0) * pts + rng.standard_normal(dim)
+
+
+def _small_duplicates(rng):
+    base = rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(1, 4))))
+    pts = base[rng.integers(len(base), size=int(rng.integers(len(base), 11)))]
+    return np.concatenate([base, pts])[:10]
+
+
+def _small_collinear(rng):
+    dim = int(rng.integers(1, 4))
+    t = rng.uniform(-2.0, 3.0, int(rng.integers(2, 11)))
+    return t[:, None] * rng.standard_normal(dim) + rng.standard_normal(dim)
+
+
+def _small_general(rng):
+    # up to 10 Gaussian points in R^1 ... R^3, where SLSQP is not needed either
+    dim = int(rng.integers(1, 4))
+    return rng.standard_normal((int(rng.integers(2, 11)), dim)) * rng.uniform(0.1, 10.0)
+
+
+def test_brute_force_oracle_meets_closed_forms():
+    rng = np.random.default_rng(96)
+    for _ in range(10):
+        arc, rho = _half_circle_arc(rng)
+        arc = arc[np.linspace(0, len(arc) - 1, min(len(arc), 10)).astype(int)]  # keeps both ends
+        assert _brute_force_radius(arc) == pytest.approx(rho, rel=1e-13)
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.5, 0.5]])
+    assert _brute_force_radius(square) == pytest.approx(1.0, rel=1e-15)
+    assert _brute_force_radius(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])) == 2.5
+
+
+@pytest.mark.parametrize(
+    "family", [_small_cospherical, _small_duplicates, _small_collinear, _small_general]
+)
+def test_small_sets_against_brute_force(family):
+    rng = np.random.default_rng(97)
+    for _ in range(100):
+        pts = family(rng)
+        exact = _brute_force_radius(pts)
+        b = min_enclosing_ball(pts, tol=1e-12)
+        assert b.converged and b.gap <= 1e-12 * b.radius
+        assert b.iterations <= 2 * (pts.shape[1] + 1)
+        # both sides round at eps times the coordinates: one repeated point
+        # has radius 0 but a mean off by a rounding
+        slack = 4.0 * np.finfo(float).eps * np.max(np.abs(pts))
+        assert b.lower_bound <= exact * (1.0 + 1e-13) + slack
+        assert abs(b.radius - exact) <= 2e-12 * exact + slack
 
 
 def test_single_repeated_point():

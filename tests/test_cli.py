@@ -20,6 +20,7 @@ from normcurve.cli import (
     check_mean_curvature,
     check_monotonicity,
     check_normal_curvature,
+    check_rigidity_arithmetic,
     check_sectional_curvature,
     dump_geodesic,
     load_config,
@@ -490,6 +491,12 @@ def test_curvature_engines_never_use_the_spray(monkeypatch):
 def test_circle_geodesics_keep_to_the_calling_thread():
     # the stacked Jordan products and the blocked circle fits wake no BLAS worker
     assert other_threads_cpu_ms(lambda: check_circle_geodesics(0.003, 0)) == 0.0
+
+
+@needs_schedstat
+def test_rigidity_keeps_to_the_calling_thread():
+    # the one-row CP2 geodesic, steps and projections alike, wakes no BLAS worker
+    assert other_threads_cpu_ms(lambda: check_rigidity_arithmetic(0.003, 0)) == 0.0
 
 
 @needs_schedstat

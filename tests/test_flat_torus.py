@@ -131,13 +131,22 @@ def test_zero_direction_rejected():
         torus.unit_direction(np.zeros(2))
 
 
+def test_fibonacci_grid_is_built_once_and_read_only():
+    # every n = 3 search starts from the same grid, so it is cached, and no
+    # caller may write into the shared copy
+    grid = _fibonacci_hemisphere(64)
+    assert grid is _fibonacci_hemisphere(64)
+    assert not grid.flags.writeable
+    assert np.allclose(np.linalg.norm(grid, axis=1), 1.0) and np.all(grid[:, 2] > 0.0)
+
+
 def _dense_oracle(torus):
     """Maximum of kappa * R over 2e5 angles (n = 2) or 4e5 Fibonacci points (n = 3)."""
     if torus.n == 2:
         phis = np.linspace(0.0, math.pi, 200_000, endpoint=False)
         dirs = np.column_stack([np.cos(phis), np.sin(phis)])
     else:
-        dirs = _fibonacci_hemisphere(400_000)
+        dirs = _fibonacci_hemisphere.__wrapped__(400_000)  # not kept in the cache
     return float(np.max(curvature_radius_products(torus, dirs)))
 
 

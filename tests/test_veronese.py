@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from circle_oracle import closed_form_circle, orthonormal_pair
+from thread_cpu import needs_schedstat, other_threads_cpu_ms
 
 from normcurve import veronese
 from normcurve.algebra import OCTONION
@@ -154,9 +155,12 @@ def test_sample_points_shape():
     assert pts.shape == (10, spc.flat_dim)
 
 
-@pytest.mark.parametrize("name", ["rp1", "cp1", "rp2", "cp2", "hp2", "op2", "hp3"])
+@pytest.mark.parametrize("name", ["rp1", "cp1", "rp2", "cp2", "hp2", "op2", "hp3", "rp3"])
 def test_sample_points_match_per_frame_oracle(name):
-    # oracle: frame by frame, each vector through a test-local outer product and flatten
+    # oracle: frame by frame, each vector through a test-local outer product
+    # and flatten on the dense table.  The sampler multiplies by signed
+    # permutations, and must sum in the dense contraction's order: C6's
+    # tangent planes come from null-space bases that jump under a last-bit move
     spc = space_from_name(name)
     identity = np.zeros((spc.m, spc.m, spc.algebra.dim))
     identity[np.arange(spc.m), np.arange(spc.m), 0] = 1.0
@@ -172,9 +176,17 @@ def test_sample_points_match_per_frame_oracle(name):
                 proj = _outer(spc.algebra, v)
                 expected.append(flatten_entries((proj - identity * (1.0 / spc.m)) * (1.0 / SQRT2)))
         assert pts.shape == (count, spc.flat_dim)
-        assert np.max(np.abs(pts - np.array(expected[:count]))) <= 1e-15
+        assert np.array_equal(pts, np.array(expected[:count]))
         # the same number of frames was drawn
         assert rng.random() == oracle_rng.random()
+
+
+@needs_schedstat
+def test_sample_points_keep_to_the_calling_thread():
+    # OP2's frame blocks (the gathers, the Gram-Schmidt and projector
+    # contractions, and the idempotency check's batched products) wake no BLAS worker
+    spc = space_from_name("op2")
+    assert other_threads_cpu_ms(lambda: sample_points(spc, 1026, np.random.default_rng(0))) == 0.0
 
 
 # -- closed-form geodesics ---------------------------------------------------
