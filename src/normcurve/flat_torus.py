@@ -23,7 +23,12 @@ family {e_1, e_2, e_1 + e_2} with equal weights attains the bound at
 n = 2 with direction-independent curvature.  ``torus_worst_direction``
 maximizes one quartic form over unit vectors of metric-whitened
 coordinates at every n <= 3: exactly at n = 2 (polynomial roots), and by
-a grid plus Newton ascent at n = 3, which gives a lower bound.
+a grid plus Newton ascent at n = 3, which gives a lower bound.  There the
+quartic's values are formed by squaring twice, and by libm ``pow`` only
+where a value decides a ranking or a step test or becomes an iterate's
+value (``_quartic``).  So each search returns, bit for bit, what ``pow``
+everywhere would, and the n = 3 Nelder-Mead, chaotic under rounding,
+takes the same path.
 ``optimize_weights`` minimizes the worst value over the weights of a
 fixed family: by the exchange method at n = 2, a master problem over an
 active set of directions that each exact search extends, and by
@@ -126,6 +131,8 @@ def curvature_radius_products(torus: TorusEmbedding, dirs: np.ndarray) -> np.nda
     w2 = torus.weights**2
     slopes = dirs @ torus.freqs.T
     q = np.einsum("j,ij->i", w2, slopes**2)
+    if np.any(q <= 0.0):
+        raise ValueError("direction must be nonzero")
     val = np.sqrt(np.einsum("j,ij->i", w2, slopes**4)) / q
     return val * torus.sphere_radius
 
@@ -151,6 +158,43 @@ def _fibonacci_hemisphere(count: int) -> np.ndarray:
     return grid
 
 
+# Relative margin, per frequency, around a decision on the quartic F = sum_j c_j s_j^4
+# inside which F is formed by libm pow (s ** 4).  F from squaring twice and F from pow
+# sum the same J nonnegative terms: per term pow rounds once (under 1 ulp, so at most
+# eps relative), squaring twice rounds twice (3 eps / 2) and the product with c_j once
+# in each form (eps in all), and each of the two sums adds at most (J - 1) eps / 2.  So
+# the two differ by at most (J + 3) eps of F while every term is a normal float.  The
+# margin, (J + 3) times this constant, is 128 times that bound; ranking needs twice it.
+_POW_MARGIN = 128.0 * np.finfo(float).eps
+
+# the step factors 1, 1/2, ..., 2^-29 of the Newton ascent's halving trials
+_HALVINGS = 0.5 ** np.arange(30)
+_HALVINGS.setflags(write=False)
+
+
+def _quartic(s: np.ndarray, c: np.ndarray, decides) -> np.ndarray:
+    """F = sum_j c_j s_j^4 over the last axis of the slopes ``s``.  s^4 is
+    formed by squaring twice, about 100 times cheaper than numpy's ``** 4``
+    (one libm pow call per entry), and then by pow on the entries that
+    ``decides(F, margin)`` marks from the squared F: there F is bit for bit
+    ``s ** 4 @ c``.  The two forms agree to within ``margin``, relative, so
+    ``decides`` marks every entry whose outcome that could change.  F is
+    summed over the whole array both times, since a BLAS product over some
+    of the rows can round them otherwise than over all."""
+    s4 = np.square(np.square(s))
+    mark = decides(s4 @ c, (len(c) + 3) * _POW_MARGIN)
+    s4[mark] = s[mark] ** 4
+    return s4 @ c
+
+
+def _may_rank_top4(f: np.ndarray, margin: float) -> np.ndarray:
+    """The grid points that may rank among the 4 largest F: every one not
+    below the 4th largest value by more than the margin (all, on fewer than
+    5 points)."""
+    k = min(4, len(f))
+    return f >= np.partition(f, -k)[-k] * (1.0 - margin)
+
+
 def _newton_ascent(
     q_rows: np.ndarray, c: np.ndarray, v: np.ndarray, vals: np.ndarray
 ) -> np.ndarray:
@@ -159,7 +203,18 @@ def _newton_ascent(
     degree 4 has sphere gradient P grad F and tangent Hessian P H P - 4 F P;
     the step solves (P H P - 4 F P - v v^T) s = -P grad F, whose v v^T term
     keeps s tangent.  Steps that do not ascend become gradient steps; steps
-    halve (up to 29 times) until F does not decrease."""
+    halve (up to 29 times) until F does not decrease.
+
+    F on the halving trials comes from ``_quartic``: by libm pow on the
+    trials whose test F >= vals lies within the margin, and on each row's
+    first trial that passes it by more, the longest step that can be picked;
+    the picked trial's F becomes the new ``vals``.  The rest are squared."""
+
+    def near_vals(f: np.ndarray, margin: float) -> np.ndarray:
+        sure = f > vals[:, None] * (1.0 + margin)
+        # close to vals, or sure to pass, with no sure pass on a longer step
+        return (f >= vals[:, None] * (1.0 - margin)) & (np.cumsum(sure, axis=1) - sure == 0)
+
     active = np.ones(len(v), dtype=bool)
     for _ in range(50):
         s, vvt = v @ q_rows.T, v[:, :, None] * v[:, None]
@@ -172,9 +227,9 @@ def _newton_ascent(
         active &= np.sum(step * grad, axis=1) > 1e-15 * vals  # first-order gain in log F
         if not active.any():
             break
-        trial = v[:, None] + 0.5 ** np.arange(30)[:, None] * step[:, None]  # (m, 30, 3)
+        trial = v[:, None] + _HALVINGS[:, None] * step[:, None]  # (m, 30, 3)
         trial /= np.linalg.norm(trial, axis=2, keepdims=True)
-        fc = (trial @ q_rows.T) ** 4 @ c
+        fc = _quartic(trial @ q_rows.T, c, near_vals)
         pick = np.arange(len(v)), np.argmax(fc >= vals[:, None], axis=1)  # longest good step
         active &= fc[pick] >= vals
         v, vals = np.where(active[:, None], trial[pick], v), np.where(active, fc[pick], vals)
@@ -192,9 +247,11 @@ def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionS
     is read only at n = 3.
     At n = 3, a Fibonacci grid of ``grid`` directions v, then a batched
     Newton ascent from its 4 best points: a local maximum, so a lower bound
-    on the global one.  F is a quartic form, a trigonometric polynomial of
-    degree 4 along every great circle, so no peak of it is narrow, even where
-    a small weight makes one in u.  For a square family (J = n) Q is
+    on the global one.  F on the grid is squared (``_quartic``), and taken by
+    libm pow on the points within the margin of the 4th largest squared
+    value, which rank by it as before.  F is a quartic form, a trigonometric
+    polynomial of degree 4 along every great circle, so no peak of it is
+    narrow, even where a small weight makes one in u.  For a square family (J = n) Q is
     orthogonal and the maximum is R / min w exactly: [[-2, 1, -2], [1, -1, 0],
     [2, 2, 0]] with weights (1e-4, 1, 1) gives 14142.1 at grid 64.
 
@@ -222,7 +279,7 @@ def torus_worst_direction(torus: TorusEmbedding, grid: int = 4096) -> DirectionS
         if grid < 1:
             raise ValueError(f"grid must be at least 1, got {grid}")
         v = _fibonacci_hemisphere(grid)
-        f = (v @ q_rows.T) ** 4 @ (1.0 / w2)
+        f = _quartic(v @ q_rows.T, 1.0 / w2, _may_rank_top4)
         top = np.argsort(f)[::-1][:4]
         v = _newton_ascent(q_rows, 1.0 / w2, v[top], f[top])
     f = (v @ q_rows.T) ** 4 @ (1.0 / w2)

@@ -22,6 +22,7 @@ from normcurve.cli import (
     check_normal_curvature,
     check_rigidity_arithmetic,
     check_sectional_curvature,
+    check_torus,
     dump_geodesic,
     load_config,
     main,
@@ -504,6 +505,13 @@ def test_fary_keeps_to_the_calling_thread():
     # the loop samples, (n, 3) @ (3, D) products with n up to 40,000, and the
     # one ball per polygon, on its 256-vertex probe, wake no BLAS worker
     assert other_threads_cpu_ms(lambda: check_fary(20, 1e-3, 0)) == 0.0
+
+
+@needs_schedstat
+def test_torus_keeps_to_the_calling_thread():
+    # 10,000 directions through the closed form, the n = 2 exchange and 80 n = 3
+    # searches on a 1024-point grid wake no BLAS worker
+    assert other_threads_cpu_ms(lambda: check_torus(10000, 10000, 80, 1024, 0)) == 0.0
 
 
 def test_circle_geodesics_coarse_step():

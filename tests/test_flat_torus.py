@@ -8,6 +8,7 @@ import pytest
 
 from normcurve.curves import DiscreteCurve, discrete_curvature
 from normcurve.flat_torus import (
+    _POW_MARGIN,
     TorusEmbedding,
     _fibonacci_hemisphere,
     curvature_bound,
@@ -18,6 +19,7 @@ from normcurve.flat_torus import (
     torus_worst_direction,
     triangular_family,
 )
+from thread_cpu import needs_schedstat, other_threads_cpu_ms
 
 SQRT32 = math.sqrt(1.5)
 
@@ -129,6 +131,9 @@ def test_zero_direction_rejected():
     torus = TorusEmbedding(product_family(2), np.ones(2))
     with pytest.raises(ValueError, match="nonzero"):
         torus.unit_direction(np.zeros(2))
+    # the batched form rejects a zero row as well, in place of a NaN and a warning
+    with pytest.raises(ValueError, match="^direction must be nonzero$"):
+        curvature_radius_products(torus, np.array([[1.0, 0.5], [0.0, 0.0]]))
 
 
 def test_fibonacci_grid_is_built_once_and_read_only():
@@ -182,6 +187,100 @@ def test_worst_direction_against_dense_oracle(freqs):
         at_direction = curvature_radius_products(torus, ws.direction[None])[0]
         assert ws.value == pytest.approx(at_direction, rel=1e-12)
         assert ws.value >= _dense_oracle(torus) - 1e-12
+
+
+# the n = 3 families of the pow oracle and margin tests: triangular, product, the
+# square family of test_square_family_n3_exact_maximum, and a 5-frequency family
+N3_FAMILIES = {
+    "tri3": triangular_family(3),
+    "prod3": product_family(3),
+    "square3": np.array([[-2, 1, -2], [1, -1, 0], [2, 2, 0]]),
+    "five3": np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, -1, 2]]),
+}
+N3_GRIDS = [1, 2, 3, 4, 5, 64, 1024]  # [torus] n3_grid accepts any count >= 1
+
+
+def _n3_weight_sets(freqs, seed):
+    """Equal weights, then two log-normal draws each at sigma 0.3 and 3."""
+    rng = np.random.default_rng(seed)
+    sets = [np.ones(len(freqs))]
+    return sets + [np.exp(rng.normal(0.0, sigma, len(freqs))) for sigma in (0.3, 0.3, 3.0, 3.0)]
+
+
+def _pow_newton_ascent(q_rows, c, v, vals):
+    """The Newton ascent with every F by libm pow (``** 4``): the oracle."""
+    active = np.ones(len(v), dtype=bool)
+    for _ in range(50):
+        s, vvt = v @ q_rows.T, v[:, :, None] * v[:, None]
+        proj = np.eye(v.shape[1]) - vvt
+        grad = np.einsum("iab,ib->ia", proj, 4.0 * (c * s**3) @ q_rows)
+        hess = 12.0 * np.einsum("ij,ja,jb->iab", c * s**2, q_rows, q_rows)
+        hess = proj @ hess @ proj - 4.0 * vals[:, None, None] * proj - vvt
+        step = -np.einsum("iab,ib->ia", np.linalg.pinv(hess), grad)
+        step = np.where((np.sum(step * grad, axis=1) > 0.0)[:, None], step, grad)
+        active &= np.sum(step * grad, axis=1) > 1e-15 * vals
+        if not active.any():
+            break
+        trial = v[:, None] + 0.5 ** np.arange(30)[:, None] * step[:, None]
+        trial /= np.linalg.norm(trial, axis=2, keepdims=True)
+        fc = (trial @ q_rows.T) ** 4 @ c
+        pick = np.arange(len(v)), np.argmax(fc >= vals[:, None], axis=1)
+        active &= fc[pick] >= vals
+        v, vals = np.where(active[:, None], trial[pick], v), np.where(active, fc[pick], vals)
+    return v
+
+
+def _pow_worst_direction(torus, grid):
+    """The n = 3 search with every F by libm pow: all grid points ranked by
+    pow, then ``_pow_newton_ascent`` from the 4 best."""
+    w2 = torus.weights**2
+    q_rows, r = np.linalg.qr(torus.weights[:, None] * torus.freqs)
+    v = _fibonacci_hemisphere(grid)
+    f = (v @ q_rows.T) ** 4 @ (1.0 / w2)
+    top = np.argsort(f)[::-1][:4]
+    v = _pow_newton_ascent(q_rows, 1.0 / w2, v[top], f[top])
+    f = (v @ q_rows.T) ** 4 @ (1.0 / w2)
+    best = int(np.argmax(f))
+    u = np.linalg.solve(r, v[best])
+    return torus.unit_direction(u), math.sqrt(f[best] * w2.sum())
+
+
+@pytest.mark.parametrize("name", list(N3_FAMILIES))
+def test_n3_search_equals_the_pow_oracle(name):
+    # pow decides every ranking and step test, so the value and direction are
+    # the oracle's bit for bit: Nelder-Mead over them is chaotic under rounding
+    freqs = N3_FAMILIES[name]
+    for weights in _n3_weight_sets(freqs, seed=89):
+        torus = TorusEmbedding(freqs, weights)
+        for grid in N3_GRIDS:
+            direction, value = _pow_worst_direction(torus, grid)
+            ws = torus_worst_direction(torus, grid=grid)
+            assert ws.value == value, (weights, grid)
+            assert np.array_equal(ws.direction, direction), (weights, grid)
+
+
+@pytest.mark.parametrize("name", list(N3_FAMILIES))
+def test_squared_quartic_within_its_error_model(name):
+    # F by squaring twice is within 8 eps of F by pow on every grid point, and
+    # the margin inside which pow decides is at least 100 times the worst seen
+    freqs, eps = N3_FAMILIES[name], np.finfo(float).eps
+    worst = 0.0
+    for weights in _n3_weight_sets(freqs, seed=90):
+        q_rows = np.linalg.qr(weights[:, None] * freqs)[0]
+        c = 1.0 / weights**2
+        for grid in N3_GRIDS:
+            s = _fibonacci_hemisphere(grid) @ q_rows.T
+            exact = s**4 @ c
+            err = np.abs(np.square(np.square(s)) @ c - exact)
+            assert np.all(err <= 8.0 * eps * exact)
+            worst = max(worst, float(np.max(err / exact)))
+    assert (len(freqs) + 3) * _POW_MARGIN >= 100.0 * worst
+
+
+@needs_schedstat
+def test_n3_search_keeps_to_the_calling_thread():
+    torus = TorusEmbedding(triangular_family(3), np.array([0.7, 1.1, 0.4, 0.9, 1.3, 0.6]))
+    assert other_threads_cpu_ms(lambda: torus_worst_direction(torus, grid=1024)) == 0.0
 
 
 def _assert_triangular_optimum(result):
