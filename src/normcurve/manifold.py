@@ -18,25 +18,22 @@ second fundamental form
 
     II(u, v) = the normal vector w solving  Dc(p) w = -D^2c[u, v]
 
-involves no numerical differentiation.  Geodesics integrate the ODE
-gamma'' = II(gamma', gamma') with a classical 4th-order step followed by
-re-projection of the position onto the constraint set (Gauss-Newton) and
-of the velocity onto the tangent space.  ``integrate_geodesics`` steps
-several geodesics in lock step over one zero-padded (K, W) array, one row
-each.  The integrator takes only manifolds that carry the sparse structure
-constants of a flat Jordan product (``jordan``), as the Veronese varieties
-do, and reads two closed forms from them in place of solves: the spray
-II(v, v) = 2 sqrt(2) (1 - 2/m) w - 8 p o w with w = v o v, and the tangent
-part of v, the Peirce projector 4 (L_P - L_P^2) of the idempotent P.  Each
-Jordan product gathers its terms over the constants of every row at once
-and sums them, in the constants' order, by one ``np.bincount``, so an RK4
-step makes no solve.  What the step reads is built once per call: the
-stacked constants, m and the spray's weight as columns, the constants times
--8 for the spray's second product, and a buffer for the residual.  Each RK4
-stage holds [p, v, a] in one array, so a stage update is one operation on
-the state (p, v) along the derivative (v, a).  All of it computes what the
-separate arrays computed, bit for bit.  The curvature queries always
-solve, so no claim they measure rests on the formula it would check.
+involves no numerical differentiation.  Geodesics solve the ODE
+gamma'' = II(gamma', gamma') by its Taylor series.  The integrator takes
+only manifolds that carry the sparse structure constants of a flat Jordan
+product (``jordan``), as the Veronese varieties do, and reads two closed
+forms from them in place of solves: the spray II(v, v) = 2 sqrt(2) (1 -
+2/m) w - 8 p o w with w = v o v, a polynomial in (p, v) whose Taylor
+coefficients follow exactly from Cauchy products (Moore, 1966; Jorba and
+Zou, 2005), and the Peirce projector 4 (L_P - L_P^2) of the idempotent P,
+which admits each start's velocity.  ``integrate_geodesics`` advances
+several geodesics in lock step, one row each of a zero-padded (K, W)
+array, in segments of at most pi/4 with the series to order 30, whose
+truncation (near 3e-27) is far below rounding; nothing is projected after
+the starts.  Each Jordan product gathers its terms over the constants of
+every row at once and sums them by one ``np.bincount``.  The curvature
+queries always solve, so no claim they measure rests on the formula it
+would check.
 """
 
 from __future__ import annotations
@@ -68,6 +65,17 @@ __all__ = [
 RANK_TOL = 1e-8
 _SQRT2 = math.sqrt(2.0)
 
+# Geodesics of the Veronese varieties are circles of curvature 2, so for
+# k >= 1 the k-th Taylor coefficient of a unit-speed one has norm
+# 2^k / k! / 2.  On a segment of length pi/4 the series to order 30
+# therefore leaves out terms below (pi/2)^30 / 30! ~ 3e-27, far under the
+# rounding of a coordinate.
+SEGMENT = math.pi / 4
+TAYLOR_ORDER = 30
+# Segments run one after another, up to a millisecond each: a longer
+# geodesic is refused rather than left to run for minutes.
+MAX_SEGMENTS = 100_000
+
 
 class SingularPointError(RuntimeError):
     """Constraint rank at a point differs from the base-point rank."""
@@ -83,12 +91,10 @@ class JordanConstants(NamedTuple):
 
     The indices address a flattened stack of rows.  A manifold's own
     constants address one row and hold m as a number.  ``integrate_geodesics``
-    shifts the k-th row's by k W in a (K, W) stack and, once per stack rather
-    than per RK4 stage, precomputes what the spray reads: m as a (K, 1)
-    column, ``spray_weight`` as the column 2 sqrt(2) (1 - 2/m), the factor
-    of v o v, and ``spray_value`` as -8 value, the constants of -8 y o w.
-    Every product sums its terms per output in the order of the constants,
-    by ``np.bincount``.
+    shifts the k-th row's by k W in a (K, W) stack and, once per call,
+    precomputes what the Taylor recursion reads: m as a (K, 1) column,
+    ``spray_weight`` as the column 2 sqrt(2) (1 - 2/m), the factor of
+    v o v, and ``spray_value`` as -8 value, the constants of -8 y o w.
     """
 
     out: np.ndarray
@@ -276,8 +282,11 @@ def project_velocity(manifold: ImplicitManifold, p: np.ndarray, v: np.ndarray) -
     if manifold.jordan is None:
         raise ValueError(f"manifold {manifold.name!r} has no Jordan constants for the integrator")
     p = np.asarray(p, dtype=float)[None]
-    v = np.asarray(v, dtype=float)[None]
-    return _unit_rows(_peirce_tangent(manifold.jordan, p, v))[0]
+    t = _peirce_tangent(manifold.jordan, p, np.asarray(v, dtype=float)[None])[0]
+    speed = np.sqrt((t * t).sum())
+    if speed == 0.0:
+        raise ValueError("velocity projects to zero")
+    return t / speed
 
 
 def _contract(jordan: JordanConstants, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -287,16 +296,43 @@ def _contract(jordan: JordanConstants, terms: np.ndarray, y: np.ndarray) -> np.n
     return np.bincount(jordan.out, terms, minlength=y.size).reshape(y.shape)
 
 
-def _jordan_spray(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """II(v, v) at P = sqrt(2) y + I/m for each row of a stack: with
-    w = v o v, 2 sqrt(2) (w - 2 P o w) = 2 sqrt(2) (1 - 2/m) w - 8 y o w,
-    the -8 read from the stack's ``spray_value``."""
-    terms = v.take(jordan.left)
-    terms *= jordan.value
-    w = _contract(jordan, terms, v)
-    terms = y.take(jordan.left)
-    terms *= jordan.spray_value
-    return jordan.spray_weight * w + _contract(jordan, terms, w)
+def _taylor_coefficients(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Taylor coefficients y_0 ... y_N, N = ``TAYLOR_ORDER``, of the
+    geodesic through y with velocity v, for each row of a (K, W) stack.  The
+    spray II(v, v) at P = sqrt(2) y + I/m is 2 sqrt(2) (w - 2 P o w) =
+    c_m w - 8 y o w with w = v o v and c_m = 2 sqrt(2) (1 - 2/m), so with
+    v_k = (k + 1) y_{k+1} the Cauchy products
+
+        w_k = sum_{i+j=k} v_i o v_j,
+        y_{k+2} = (c_m w_k - 8 sum_{i+j=k} y_i o w_j) / ((k + 1) (k + 2))
+
+    give every coefficient exactly.  Each coefficient's terms are gathered
+    once; the pairs of one order are one ``einsum`` and one bincount."""
+    order, size, count = TAYLOR_ORDER, y.size, len(jordan.out)
+    coeffs = np.empty((order + 1,) + y.shape)
+    coeffs[0], coeffs[1] = y, v
+    v_left, v_right, y_left, w_right = np.empty((4, order - 1, count))
+    for k in range(order - 1):
+        v_k = (k + 1) * coeffs[k + 1]
+        np.multiply(v_k.take(jordan.left), jordan.value, out=v_left[k])
+        v_k.take(jordan.right, out=v_right[k])
+        terms = np.einsum("it,it->t", v_left[: k + 1], v_right[k::-1])
+        w_k = np.bincount(jordan.out, terms, minlength=size)
+        w_k.take(jordan.right, out=w_right[k])
+        np.multiply(coeffs[k].take(jordan.left), jordan.spray_value, out=y_left[k])
+        terms = np.einsum("it,it->t", y_left[: k + 1], w_right[k::-1])
+        y_w = np.bincount(jordan.out, terms, minlength=size).reshape(y.shape)
+        coeffs[k + 2] = (jordan.spray_weight * w_k.reshape(y.shape) + y_w) / ((k + 1) * (k + 2))
+    return coeffs
+
+
+def _horner(coeffs: np.ndarray, t, out: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] t^k into ``out`` by Horner's rule, in place."""
+    out[...] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= t
+        out += c
+    return out
 
 
 def _peirce_tangent(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -310,18 +346,10 @@ def _peirce_tangent(jordan: JordanConstants, y: np.ndarray, v: np.ndarray) -> np
     return 4.0 * (pv - (_SQRT2 * _contract(jordan, terms, pv) + pv / jordan.m))
 
 
-def _unit_rows(t: np.ndarray) -> np.ndarray:
-    speed = np.sqrt((t * t).sum(axis=1, keepdims=True))
-    if speed.min() == 0.0:
-        raise ValueError("velocity projects to zero")
-    return t / speed
-
-
 def _stack_jordan(manifolds, width: int) -> JordanConstants:
     """The rows' Jordan constants shifted to their rows of a (K, width)
     stack, with m and the spray weight as (K, 1) columns and the values
-    times -8 for the spray; -8 is a power of 2, so folding it into each
-    term leaves the sum what -8 times the sum was, bit for bit."""
+    times -8 for the spray."""
     rows = [man.jordan for man in manifolds]
     out, left, right = (
         np.concatenate([getattr(j, name) + k * width for k, j in enumerate(rows)])
@@ -332,31 +360,16 @@ def _stack_jordan(manifolds, width: int) -> JordanConstants:
     return JordanConstants(out, left, right, value, m, 2.0 * _SQRT2 * (1.0 - 2.0 / m), -8.0 * value)
 
 
-def _stack_residual(manifolds, width: int):
-    """The function p -> |c(p_k)| of a (K, width) stack, one row of the
-    result per row of p, each by its own constraint map read as a quadratic
-    form in (p, 1): one bincount over the nonzero coefficients of every row,
-    with (p, 1) laid out in a buffer made once."""
-    one = len(manifolds) * width  # where the 1 is appended to the flattened stack
-    height = max(len(man.const) for man in manifolds)
-    terms = []  # (out, left, right, value) of each nonzero coefficient
-    for k, man in enumerate(manifolds):
-        for coeffs in (man.quad, man.linear, man.const):
-            index = np.nonzero(coeffs)
-            factors = [i + k * width for i in index[1:]]
-            factors += [np.full(len(index[0]), one)] * (2 - len(factors))
-            terms.append((index[0] + k * height, *factors, coeffs[index]))
-    out, left, right, value = map(np.concatenate, zip(*terms))
-    flat = np.ones(one + 1)  # the stack, then the 1
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        flat[:one] = p.reshape(-1)
-        terms = flat.take(left)
-        terms *= value
-        terms *= flat.take(right)
-        return np.abs(np.bincount(out, terms, len(manifolds) * height)).reshape(-1, height)
-
-    return residual
+def _segment_count(length: float) -> int:
+    """The number of equal segments of at most ``SEGMENT`` covering length,
+    or a ValueError naming the length and the count above ``MAX_SEGMENTS``."""
+    quotient = length / SEGMENT
+    if quotient > MAX_SEGMENTS:
+        raise ValueError(
+            f"length = {length!r}: {quotient:.4g} Taylor segments of at most pi/4, "
+            f"above the cap of {MAX_SEGMENTS}"
+        )
+    return max(1, math.ceil(quotient))
 
 
 def integrate_geodesics(
@@ -372,20 +385,21 @@ def integrate_geodesics(
     Each start is made admissible first: p is projected onto the constraint
     set (``project_point``), and u onto the tangent space there and
     normalized to unit speed (``project_velocity``, which rejects a manifold
-    without Jordan constants).  The step count is
-    rounded so that the nominal step divides the length exactly.  The
-    geodesics advance together as the rows of one zero-padded (K, W) array,
-    W the largest ambient dimension, so each Jordan product of an RK4 stage
-    is one bincount for all of them.  After each full step one batched
-    residual checks every row; a row above 1e-12 goes through
-    ``project_point`` (a projection that stalls above 1e-8 raises
-    ``ProjectionError``), and every velocity is projected onto its tangent
-    space and renormalized.  So the recorded vertices keep constraint
-    residuals near 1e-12.
+    without Jordan constants).  The rows of one zero-padded (K, W) array, W
+    the largest ambient dimension, then advance together over equal
+    segments of at most ``SEGMENT`` (``MAX_SEGMENTS`` at most, or a
+    ValueError): on each, ``_taylor_coefficients`` gives
+    every row's series from the segment's start, and Horner's rule evaluates
+    it at the vertices in the segment and, with its derivative, at the end,
+    which starts the next.  Nothing is projected after the starts.  Rounding
+    accumulates over the segments: at step 1e-2 the vertices lie near 1e-15
+    from the exact circle at length pi, 2e-14 at 10 pi and 1e-12 at 100 pi,
+    while constraint residuals stay near 1e-15.
 
-    Vertices sit at equal arc spacing, so chords fall short of the step by
-    about step^3 * curvature^2 / 24; each curve's edge tolerance is sized
-    from its own measured normal curvature (never below 1e-9).
+    The vertex count is ``length / step`` rounded, so that the nominal step
+    divides the length exactly.  Chords fall short of it by about
+    step^3 * curvature^2 / 24; each curve's edge tolerance is sized from its
+    acceleration at the segment starts (never below 1e-9).
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step = {step!r}: expected a positive finite number")
@@ -393,6 +407,8 @@ def integrate_geodesics(
         raise ValueError(f"length = {length!r}: expected a nonnegative finite number")
     if not 0 < len(manifolds) == len(starts) == len(directions):
         raise ValueError("expected one start and one direction for each of at least one manifold")
+    nsteps = max(1, _step_count(length, step))
+    segments = _segment_count(length)
     dims = [man.ambient_dim for man in manifolds]
     p = np.zeros((len(manifolds), max(dims)))
     v = np.zeros_like(p)
@@ -401,46 +417,25 @@ def integrate_geodesics(
         v[k, : dims[k]] = project_velocity(man, p[k, : dims[k]], u)
     if length == 0.0:
         return [DiscreteCurve(p[k : k + 1, :d], nominal_step=step) for k, d in enumerate(dims)]
-    nsteps = max(1, _step_count(length, step))
     h = length / nsteps
+    span = length / segments
     jordan = _stack_jordan(manifolds, p.shape[1])
-    residual = _stack_residual(manifolds, p.shape[1])
-    vertices = np.empty((len(p), nsteps + 1, p.shape[1]))
-    vertices[:, 0] = p
+    arc = np.arange(nsteps + 1) * h
+    owner = np.minimum((arc / span).astype(np.intp), segments - 1)
+    bounds = np.searchsorted(owner, np.arange(segments + 1))
+    vertices = np.empty((nsteps + 1,) + p.shape)
     max_accel_sq = np.zeros(len(p))
-    # RK4 on the state (p, v), whose derivative is (v, a): each stage holds
-    # [p, v, a], so its first two rows are a state and its last two a
-    # derivative, and a stage update is one operation on both
-    stages = np.empty((4, 3) + p.shape)
-    stages[0, 0], stages[0, 1] = p, v
-    p, v, a = stages[0]
-    state, derivs = stages[0, :2], stages[:, 1:]
-    half = 0.5 * h
-    updates = [  # (derivative, step, stage state, p, v, a)
-        (derivs[i - 1], c, stages[i, :2], *stages[i]) for i, c in ((1, half), (2, half), (3, h))
-    ]
-    sixth = h / 6.0
-    for step_index in range(nsteps):
-        a[:] = _jordan_spray(jordan, p, v)
-        max_accel_sq = np.maximum(max_accel_sq, (a * a).sum(axis=1))
-        for prev, c, stage, p_i, v_i, a_i in updates:
-            np.add(state, c * prev, out=stage)
-            a_i[:] = _jordan_spray(jordan, p_i, v_i)
-        state += sixth * (derivs[0] + 2.0 * derivs[1] + 2.0 * derivs[2] + derivs[3])
-        worst = residual(p)
-        if worst.max() > 1e-12:
-            for k in np.flatnonzero(worst.max(axis=1) > 1e-12):
-                p[k, : dims[k]] = project_point(manifolds[k], p[k, : dims[k]])
-        v[:] = _unit_rows(_peirce_tangent(jordan, p, v))
-        vertices[:, step_index + 1] = p
-    return [
-        DiscreteCurve(
-            vertices[k, :, :d],
-            nominal_step=h,
-            edge_tol=max(1e-9, h**3 * float(max_accel_sq[k]) / 16.0),
-        )
-        for k, d in enumerate(dims)
-    ]
+    ranks = np.arange(1, TAYLOR_ORDER + 1)[:, None, None]
+    for segment in range(segments):
+        coeffs = _taylor_coefficients(jordan, p, v)
+        max_accel_sq = np.maximum(max_accel_sq, 4.0 * (coeffs[2] * coeffs[2]).sum(axis=1))
+        lo, hi = bounds[segment], bounds[segment + 1]
+        _horner(coeffs, (arc[lo:hi] - segment * span)[:, None, None], vertices[lo:hi])
+        if segment + 1 < segments:
+            p = _horner(coeffs, span, np.empty_like(p))
+            v = _horner(ranks * coeffs[1:], span, np.empty_like(v))
+    edge_tol = np.maximum(1e-9, h**3 * max_accel_sq / 16.0)
+    return [DiscreteCurve(vertices[:, k, :d], h, edge_tol=edge_tol[k]) for k, d in enumerate(dims)]
 
 
 def integrate_geodesic(

@@ -1,5 +1,6 @@
 """CLI driver: suites, reports, exit codes, determinism, dumps."""
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import normcurve
 from normcurve import curves, manifold, veronese
 from normcurve.cli import (
     DEFAULTS,
@@ -148,6 +150,11 @@ def test_config_default_section_rejected(tmp_path, capsys, text, keys):
             "length / step = 1e+300 / 1e-300: too many steps to count",
         ),
         (
+            ["dump-geodesic", "rp2", "--length", "1e12", "--step", "1e11"],
+            "length = 1000000000000.0: 1.273e+12 Taylor segments of at most pi/4, "
+            "above the cap of 100000",
+        ),
+        (
             ["verify", "rigidity", "[rigidity]\ngeodesic_step = 1e-320\n"],
             "length / step = 1.5707963267948966 / 1e-320: too many steps to count",
         ),
@@ -156,7 +163,7 @@ def test_config_default_section_rejected(tmp_path, capsys, text, keys):
             "step_target = 1e-320: too many vertices to count",
         ),
     ],
-    ids=["dump-geodesic", "geodesic_step", "fary_step"],
+    ids=["dump-geodesic", "segments", "geodesic_step", "fary_step"],
 )
 def test_overflowing_step_count_exits_two(tmp_path, capsys, argv, err):
     out = tmp_path / "out.txt"
@@ -176,6 +183,22 @@ def test_benchmark_configs_load(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / name
     cfg = load_config(str(path))
     assert cfg.keys() == DEFAULTS.keys()
+
+
+def test_traced_functions_resolve():
+    # the benchmark's tracer wraps these attributes of the imported package:
+    # renaming one must fail here, not in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, function, _, _ in tracing.TARGETS:
+        assert callable(getattr(getattr(normcurve, module), function, None)), (module, function)
+    for (module, function), aliases in tracing.ALIASES.items():
+        for alias in aliases:
+            assert getattr(getattr(normcurve, alias), function) is getattr(
+                getattr(normcurve, module), function
+            )
 
 
 def test_rigidity_suite_passes(small_config, tmp_path):
@@ -307,11 +330,15 @@ def test_ball_tol_below_rounding_rejected(tmp_path):
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
-    # a step of 5 along a length-10 geodesic leaves the variety: ProjectionError
-    out = str(tmp_path / "geo.csv")
-    assert main(["dump-geodesic", "rp2", "--length", "10", "--step", "5", "--out", out]) == 2
+    # a start at the origin, where the constraint rank is full: SingularPointError
+    rp2 = veronese.variety(veronese.space_from_name("rp2"))
+    with monkeypatch.context() as patch:
+        patch.setattr(veronese, "variety", lambda spc: rp2)
+        patch.setattr(veronese, "base_point", lambda spc: np.zeros(spc.flat_dim))
+        out = str(tmp_path / "geo.csv")
+        assert main(["dump-geodesic", "rp2", "--length", "10", "--step", "5", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: projection stalled") and err.count("\n") == 1
+    assert err == "error: constraint rank 6 at the query point differs from base-point rank 4\n"
     # at step 0.5 the generator draws a 64-vertex polygon, which C9 takes
     coarse = tmp_path / "coarse.ini"
     coarse.write_text(
@@ -480,7 +507,7 @@ def test_curvature_engines_never_use_the_spray(monkeypatch):
     def closed_form_used(*args):
         raise AssertionError("a curvature claim used a closed-form spray or tangent")
 
-    monkeypatch.setattr(manifold, "_jordan_spray", closed_form_used)
+    monkeypatch.setattr(manifold, "_taylor_coefficients", closed_form_used)
     monkeypatch.setattr(manifold, "_peirce_tangent", closed_form_used)
     assert engines() == expected
     assert expected[0]["max_deviation"] <= 1e-8 and expected[2]["rp2_max_dev"] <= 1e-6
@@ -496,7 +523,7 @@ def test_circle_geodesics_keep_to_the_calling_thread():
 
 @needs_schedstat
 def test_rigidity_keeps_to_the_calling_thread():
-    # the one-row CP2 geodesic, steps and projections alike, wakes no BLAS worker
+    # the one-row CP2 geodesic, its start and its Taylor segments, wakes no BLAS worker
     assert other_threads_cpu_ms(lambda: check_rigidity_arithmetic(0.003, 0)) == 0.0
 
 

@@ -1,7 +1,6 @@
 """Implicit-manifold engine: tangent spaces, curvature operators, geodesics."""
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -553,22 +552,11 @@ def test_spray_matches_least_squares_solve(name):
     p = np.repeat(points, 4, axis=0)
     v = np.concatenate([random_tangent(var, q, rng, count=4) for q in points])
     oracle = np.array([second_fundamental_form(var, q, u, u) for q, u in zip(p, v)])
+    # the recursion's second coefficient is half the acceleration II(v, v)
     jordan = manifold._stack_jordan([var] * len(p), var.ambient_dim)  # one row per pair
-    error = np.linalg.norm(manifold._jordan_spray(jordan, p, v) - oracle, axis=1)
+    accel = 2.0 * manifold._taylor_coefficients(jordan, p, v)[2]
+    error = np.linalg.norm(accel - oracle, axis=1)
     assert np.all(error <= 1e-12 * np.linalg.norm(oracle, axis=1))
-
-
-def test_spray_geodesic_matches_least_squares_geodesic():
-    # OP2 has no closed-form circle: the solve-driven loop is the oracle
-    spc = veronese.space("octonion", 2)
-    var = veronese.variety(spc)
-    rng = np.random.default_rng(55)
-    p0 = veronese.sample_points(spc, 1, rng)[0]
-    u = random_tangent(var, p0, rng)
-    fast = integrate_geodesic(var, p0, u, math.pi, step=1e-2)
-    slow = least_squares_geodesic(var, p0, u, math.pi, step=1e-2)
-    assert fast.vertices.shape == slow.shape
-    assert np.max(np.linalg.norm(fast.vertices - slow, axis=1)) <= 1e-9
 
 
 @pytest.mark.parametrize("name", VARIETY_SPACES)
@@ -617,82 +605,86 @@ def _plane_starts(seed):
     return varieties, starts, directions
 
 
-def test_lock_step_matches_per_plane_dense_oracle():
+@pytest.mark.parametrize(
+    "oracle", [dense_geodesic, least_squares_geodesic], ids=["dense", "least-squares"]
+)
+def test_rk4_oracles_converge_to_taylor_geodesics(oracle):
+    # the Taylor vertices are exact to rounding and RK4 errs by C h^4, so
+    # halving the oracle's step divides its distance from them by 16 on
+    # every plane, OP2 (which has no closed-form circle) included
     varieties, starts, directions = _plane_starts(60)
-    curves = manifold.integrate_geodesics(varieties, starts, directions, math.pi, 3e-3)
+    curves = manifold.integrate_geodesics(varieties, starts, directions, math.pi, 0.01)
     for var, p0, u, curve in zip(varieties, starts, directions, curves):
-        oracle = dense_geodesic(var, p0, u, math.pi, 3e-3)
-        assert curve.vertices.shape == oracle.shape == (1048, var.ambient_dim)
-        assert np.max(np.abs(curve.vertices - oracle)) <= 1e-13
+        assert curve.n_vertices == 315
+        coarse = np.max(np.abs(oracle(var, p0, u, math.pi, 0.02) - curve.vertices[::2]))
+        fine = np.max(np.abs(oracle(var, p0, u, math.pi, 0.01) - curve.vertices))
+        assert fine <= 1e-8
+        assert 15.0 <= coarse / fine <= 17.0
+
+
+@pytest.mark.parametrize(
+    "name,value", [("TAYLOR_ORDER", 35), ("SEGMENT", math.pi / 8)], ids=["order", "segment"]
+)
+def test_taylor_truncation_is_below_rounding(monkeypatch, name, value):
+    # five more orders, or segments half as long, move no vertex beyond rounding
+    varieties, starts, directions = _plane_starts(62)
+    base = manifold.integrate_geodesics(varieties, starts, directions, 2.0 * math.pi, 1e-2)
+    monkeypatch.setattr(manifold, name, value)
+    finer = manifold.integrate_geodesics(varieties, starts, directions, 2.0 * math.pi, 1e-2)
+    for a, b in zip(base, finer):
+        assert np.max(np.abs(a.vertices - b.vertices)) <= 16 * np.finfo(float).eps
 
 
 def test_lock_step_mixes_spaces_and_solved_rows():
     # CP1 (m = 2), CP2 (m = 3) and RP3 (m = 4) share one stack of widths 4,
-    # 9 and 10, so each row reads its own m and spray weight from the stacked columns
+    # 9 and 10, so each row reads its own m and spray weight from the stacked
+    # columns; over four segments every row equals its own integration
     rows = [veronese.variety(veronese.space_from_name(name)) for name in ("cp1", "cp2", "rp3")]
     starts = [var.base_point for var in rows]
     directions = [tangent_basis(var, var.base_point)[0] for var in rows]
-    stacked = manifold.integrate_geodesics(rows, starts, directions, 1.0, 1e-2)
+    stacked = manifold.integrate_geodesics(rows, starts, directions, 3.0, 1e-2)
     for var, p0, u, curve in zip(rows, starts, directions, stacked):
-        alone = integrate_geodesic(var, p0, u, 1.0, 1e-2)
-        assert np.max(np.abs(curve.vertices - alone.vertices)) <= 1e-13
+        alone = integrate_geodesic(var, p0, u, 3.0, 1e-2)
+        assert np.array_equal(curve.vertices, alone.vertices)
 
 
-def test_geodesics_project_starts_and_stray_rows(monkeypatch):
+def test_geodesics_project_each_start_once(monkeypatch):
     # the benchmark traces project_point and project_velocity through these
-    # module names: each start goes through both, and later only a row whose
-    # residual rises above 1e-12 goes through project_point
+    # module names: each start goes through both once, and nothing after
+    # the starts projects, the Peirce projector included
     calls = []
-    for name in ("project_point", "project_velocity"):
+    for name in ("project_point", "project_velocity", "_peirce_tangent"):
 
-        def counted(var, *args, _real=getattr(manifold, name), _name=name):
-            calls.append((_name, var.name))
-            return _real(var, *args)
+        def counted(first, *args, _real=getattr(manifold, name), _name=name):
+            calls.append((_name, getattr(first, "name", "")))  # the constants have no name
+            return _real(first, *args)
 
         monkeypatch.setattr(manifold, name, counted)
-    velocities = []
-
-    def recorded(t, _real=manifold._unit_rows):
-        velocities.append(_real(t))
-        return velocities[-1]
-
-    monkeypatch.setattr(manifold, "_unit_rows", recorded)
     varieties, starts, directions = _plane_starts(61)
-    names = ("project_point", "project_velocity")
-    starts_only = [(name, var.name) for var in varieties for name in names]
+    curves = manifold.integrate_geodesics(varieties, starts, directions, 3.0, 3e-3)
+    expected = []
+    for var in varieties:
+        expected += [("project_point", var.name), ("project_velocity", var.name)]
+        expected.append(("_peirce_tangent", ""))
+    assert calls == expected
+    for var, curve in zip(varieties, curves):
+        assert curve.n_vertices == 1001
+        assert max(np.max(np.abs(var.constraint(q))) for q in curve.vertices) <= 1e-14
 
-    curves = manifold.integrate_geodesics(varieties, starts, directions, 0.3, 3e-3)
-    assert calls == starts_only
-    stacked = np.array(velocities[len(varieties) :])  # after the starts' one-row calls
-    for k, (var, curve) in enumerate(zip(varieties, curves)):
-        assert curve.n_vertices == 101
-        assert max(np.max(np.abs(var.constraint(q))) for q in curve.vertices) <= 1e-12
-        v = stacked[:, k, : var.ambient_dim]
-        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-14
-        normal = [var.jacobian(q) @ w for q, w in zip(curve.vertices[1:], v)]
-        assert np.max(np.abs(normal)) <= 1e-12
 
-    spray = manifold._jordan_spray
-
-    def pushed_run(size):
-        # add ``size`` to every coordinate of CP2's acceleration at the first stage of step 6
-        stage = itertools.count()
-
-        def pushed(jordan, y, v):
-            a = spray(jordan, y, v)
-            if next(stage) == 20:
-                a[1, : varieties[1].ambient_dim] += size
-            return a
-
-        monkeypatch.setattr(manifold, "_jordan_spray", pushed)
-        calls.clear()
-        return manifold.integrate_geodesics(varieties, starts, directions, 0.3, 3e-3)
-
-    curves = pushed_run(1e-4)
-    assert calls == starts_only + [("project_point", "CP2")]
-    assert max(np.max(np.abs(varieties[1].constraint(q))) for q in curves[1].vertices) <= 1e-12
-    with pytest.raises(ProjectionError):
-        pushed_run(1e6)
+def test_segment_count_is_capped(monkeypatch):
+    # the segments run one after another, so a length past the cap is refused
+    # before any start is projected
+    var = cp1_variety()
+    u = tangent_basis(var, var.base_point)[0]
+    assert manifold._segment_count(math.pi) == 4
+    assert manifold._segment_count(0.5 * math.pi) == 2
+    assert manifold._segment_count(1e-3) == 1
+    monkeypatch.setattr(manifold, "project_point", None)  # not reached
+    message = r"^length = 1000000000000\.0: 1\.273e\+12 Taylor segments of at most pi/4, "
+    message += "above the cap of 100000$"
+    with pytest.raises(ValueError, match=message):
+        integrate_geodesic(var, var.base_point, u, 1e12, 1e11)
 
 
 # -- geodesic integration ------------------------------------------------------
@@ -737,11 +729,11 @@ def test_integrate_sphere_great_circle():
     var = cp1_variety()
     u = tangent_basis(var, var.base_point)[0]
     curve = integrate_geodesic(var, var.base_point, u, math.pi, step=1e-3)
-    assert np.linalg.norm(curve.vertices[-1] - curve.vertices[0]) <= 1e-9
+    assert np.linalg.norm(curve.vertices[-1] - curve.vertices[0]) <= 1e-14
     from normcurve.curves import discrete_curvature
 
     k = discrete_curvature(curve)
-    assert np.max(np.abs(k - 2.0)) <= 1e-5
+    assert np.max(np.abs(k - 2.0)) <= 1e-8
 
 
 def test_integrate_matches_closed_form():
@@ -752,7 +744,7 @@ def test_integrate_matches_closed_form():
         circ, velocity = closed_form_circle(spc, *orthonormal_pair(spc, rng))
         curve = integrate_geodesic(var, circ(0.0), velocity(0.0), math.pi, step=1e-3)
         ts = np.arange(curve.n_vertices) * curve.nominal_step
-        assert np.max(np.linalg.norm(circ(ts) - curve.vertices, axis=1)) <= 1e-7
+        assert np.max(np.linalg.norm(circ(ts) - curve.vertices, axis=1)) <= 1e-13
 
 
 def test_integrate_constraint_drift_and_planarity():
@@ -765,9 +757,16 @@ def test_integrate_constraint_drift_and_planarity():
     u = random_tangent(var, p0, rng)
     curve = integrate_geodesic(var, p0, u, math.pi, step=1e-3)
     drift = max(np.max(np.abs(var.constraint(v))) for v in curve.vertices[::100])
-    assert drift <= 1e-10
-    assert planarity_residual(curve.vertices) <= 1e-8
-    assert np.linalg.norm(curve.vertices[-1] - curve.vertices[0]) <= 1e-6
+    assert drift <= 1e-14
+    assert planarity_residual(curve.vertices) <= 1e-13
+    assert np.linalg.norm(curve.vertices[-1] - curve.vertices[0]) <= 1e-14
+
+
+def test_projection_stall_reported():
+    # Gauss-Newton from a hundred times RP2's base point has not converged after 5 steps
+    var = veronese.variety(veronese.space_from_name("rp2"))
+    with pytest.raises(ProjectionError, match="^projection stalled at residual 4.21e\\+00$"):
+        project_point(var, 100.0 * var.base_point)
 
 
 def test_projection_recovers_nearby_points():
