@@ -405,50 +405,41 @@ def check_torus(directions: int, budget: int, n3_budget: int, n3_grid: int, seed
     }
 
 
-def _space_curve_trials(rng, trials: int, draw, after=lambda rng: None) -> list:
-    """Random trials whose curves come from one stacked
-    ``curves.random_space_curve`` call.
-
-    A trial draws ``draw(rng)``, which returns (turning, step, dim, extra),
-    then its curve's normal block, then ``after(rng)``.  Returns
-    (extra, curve, after's value) per trial.
-    """
-    drawn = []
-    for _ in range(trials):
-        turning, step, dim, extra = draw(rng)
-        block = rng.standard_normal((len(turning) + 1, dim))
-        drawn.append((turning, step, block, extra, after(rng)))
-    turning, steps, blocks, extras, afters = zip(*drawn)
-    batch = curves.random_space_curve(np.array(turning), np.array(steps), blocks)
-    return list(zip(extras, batch, afters))
+def _bow_trials(trials: int, n_edges: int, seed: int) -> curves.BowReport:
+    """C8's random comparisons as one stacked ``curves.bow_check``.  Each
+    trial draws its step, its curvature cap, its arc's and then its factor's
+    ``curves.draw_profile``, its dim from (2, 3, 5) and its (n_edges, dim)
+    normal rows, which go into a stack zero-padded to dim 5."""
+    rng = np.random.default_rng([seed, 8])
+    draws = np.empty((trials, 14))
+    rows = np.zeros((trials, n_edges, 5))
+    for k in range(trials):
+        draws[k, :2] = rng.uniform(0.005, 0.02), rng.uniform(0.5, 2.5)
+        draws[k, 2:] = curves.draw_profile(rng) + curves.draw_profile(rng)
+        dim = rng.choice([2, 3, 5])
+        rows[k, :, :dim] = rng.standard_normal((n_edges, dim))
+    steps = draws[:, 0]
+    arcs = curves.random_convex_arc(curves.curvature_profiles(draws[:, 2:8], n_edges - 1, draws[:, 1]), steps)
+    turning = curves.curvature_profiles(draws[:, 8:], n_edges - 1, 1.0) * curves.turning_angles(arcs)
+    comparison = curves.random_space_curve(turning, steps, rows)
+    del rows, turning  # about 1 MB that the check's own temporaries can reuse
+    return curves.bow_check(arcs, comparison, steps)
 
 
 def check_bow(trials: int, n_edges: int, seed: int) -> dict:
-    """Randomized endpoint comparisons plus the two named instances."""
-
-    def draw(rng):
-        step = float(rng.uniform(0.005, 0.02))
-        kappa_max = float(rng.uniform(0.5, 2.5))
-        c1 = curves.random_convex_arc(rng, n_edges, step, kappa_max)
-        theta1 = curves.turning_angles(c1)
-        factor = curves.random_curvature_profile(rng, len(theta1), high=1.0)
-        return factor * theta1, step, int(rng.choice([2, 3, 5])), c1
-
-    pairs = _space_curve_trials(np.random.default_rng([seed, 8]), trials, draw)
-    violations = sum(not curves.bow_check(c1, c2).inequality_holds for c1, c2, _ in pairs)
-
+    """Randomized endpoint comparisons plus the two named instances, each a
+    stack of one."""
+    holds = _bow_trials(trials, n_edges, seed).inequality_holds
     h = (math.pi / 2.0) / 300
-    half = curves.sample_circle_arc(0.5, math.pi / 2.0, h)
+    half, quarter = (curves.sample_circle_arc(radius, math.pi / 2.0, h) for radius in (0.5, 1.0))
     segment = curves.straight_segment(math.pi / 2.0, h)
-    named = curves.bow_check(half, segment)
-
-    quarter = curves.sample_circle_arc(1.0, math.pi / 2.0, h)
-    self_report = curves.bow_check(quarter, quarter)
+    named = curves.bow_check(half.vertices[None], segment.vertices[None], [half.nominal_step])
+    rigid = curves.bow_check(quarter.vertices[None], quarter.vertices[None], [quarter.nominal_step])
     return {
-        "success_ratio": (trials - violations) / trials,
-        "half_circle_gap": named.endpoint_gap_1,
-        "segment_gap": named.endpoint_gap_2,
-        "rigidity_detected": self_report.rigidity_detected,
+        "success_ratio": int(np.count_nonzero(holds)) / trials,
+        "half_circle_gap": float(named.endpoint_gap_1[0]),
+        "segment_gap": float(named.endpoint_gap_2[0]),
+        "rigidity_detected": bool(rigid.rigidity_detected[0]),
     }
 
 
@@ -472,23 +463,30 @@ def check_fary(trials: int, step: float, seed: int) -> dict:
     }
 
 
-def check_monotonicity(trials: int, seed: int) -> dict:
-    """Positivity of the chord/tangent inner product under curvature < 2."""
+def _monotonicity_values(trials: int, seed: int) -> np.ndarray:
+    """C10's chord/tangent products as one stacked ``curves.monotonicity_check``:
+    each trial draws its profile, its (157, 3) normal rows and its start."""
     n_edges = 157
     h = (math.pi / 2.0) / n_edges
+    rng = np.random.default_rng([seed, 10])
+    draws = np.empty((trials, 6))
+    rows = np.empty((trials, n_edges, 3))
+    t0 = np.empty(trials, dtype=int)
+    for k in range(trials):
+        draws[k] = curves.draw_profile(rng)
+        rng.standard_normal(out=rows[k])
+        t0[k] = rng.integers(0, n_edges + 1)  # a vertex of the curve
+    steps = np.full(trials, h)
+    turning = curves.curvature_profiles(draws, n_edges - 1, 1.9) * h
+    return curves.monotonicity_check(curves.random_space_curve(turning, steps, rows), steps, t0)
 
-    def draw(rng):
-        profile = curves.random_curvature_profile(rng, n_edges - 1, high=1.9)
-        return profile * h, h, 3, None
 
-    def start(rng):
-        return int(rng.integers(0, n_edges + 1))  # a vertex of the curve
-
-    runs = _space_curve_trials(np.random.default_rng([seed, 10]), trials, draw, start)
-    values = [curves.monotonicity_check(curve, t0) for _, curve, t0 in runs]
+def check_monotonicity(trials: int, seed: int) -> dict:
+    """Positivity of the chord/tangent inner product under curvature < 2."""
+    values = _monotonicity_values(trials, seed)
     return {
-        "success_ratio": sum(value > 0.0 for value in values) / trials,
-        "min_value": float(min(values)),
+        "success_ratio": int(np.count_nonzero(values > 0.0)) / trials,
+        "min_value": float(values.min()),
     }
 
 

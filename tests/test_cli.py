@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import normcurve
 from normcurve import curves, manifold, veronese
 from normcurve.cli import (
     DEFAULTS,
+    _bow_trials,
+    _monotonicity_values,
     Claim,
     VerificationReport,
     check_bow,
@@ -31,6 +34,7 @@ from normcurve.cli import (
     render_report,
     run_suite,
 )
+import curve_oracle
 from thread_cpu import needs_schedstat, other_threads_cpu_ms
 
 SMALL_CONFIG = """
@@ -372,66 +376,64 @@ def test_failing_claim_exits_one(monkeypatch, small_config):
     assert main(["verify", "rigidity", "--config", small_config]) == 1
 
 
-def _bow_per_trial(trials: int, n_edges: int, seed: int, dims: list) -> dict:
-    # oracle: the trial-by-trial engine, one random_space_curve call a trial
-    # on the block it draws; the dim of each trial goes to ``dims``
+def _bow_per_trial(trials: int, n_edges: int, seed: int, dims: list) -> list:
+    # oracle: the trial-by-trial engine, one space curve a trial on its own
+    # unpadded rows; the dim of each trial goes to ``dims``
     rng = np.random.default_rng([seed, 8])
-    violations = 0
+    reports = []
     for _ in range(trials):
         step = float(rng.uniform(0.005, 0.02))
         kappa_max = float(rng.uniform(0.5, 2.5))
-        c1 = curves.random_convex_arc(rng, n_edges, step, kappa_max)
-        theta1 = curves.turning_angles(c1)
-        factor = curves.random_curvature_profile(rng, len(theta1), high=1.0)
+        c1 = curve_oracle.random_convex_arc(rng, n_edges, step, kappa_max)
+        theta1 = curve_oracle.turning_angles(c1)
+        factor = curve_oracle.random_curvature_profile(rng, len(theta1), high=1.0)
         dims.append(int(rng.choice([2, 3, 5])))
-        block = rng.standard_normal((len(theta1) + 1, dims[-1]))
-        (c2,) = curves.random_space_curve((factor * theta1)[None], [step], [block])
-        report = curves.bow_check(c1, c2)
-        if not report.inequality_holds:
-            violations += 1
+        rows = rng.standard_normal((len(theta1) + 1, dims[-1]))
+        (v2,) = curves.random_space_curve((factor * theta1)[None], np.array([step]), rows[None])
+        reports.append(curve_oracle.bow_check(c1, curves.DiscreteCurve(v2, step)))
+    return reports
 
+
+def _named_bow_per_trial() -> dict:
     h = (math.pi / 2.0) / 300
     half = curves.sample_circle_arc(0.5, math.pi / 2.0, h)
-    segment = curves.straight_segment(math.pi / 2.0, h)
-    named = curves.bow_check(half, segment)
-
+    named = curve_oracle.bow_check(half, curves.straight_segment(math.pi / 2.0, h))
     quarter = curves.sample_circle_arc(1.0, math.pi / 2.0, h)
-    self_report = curves.bow_check(quarter, quarter)
     return {
-        "success_ratio": (trials - violations) / trials,
         "half_circle_gap": named.endpoint_gap_1,
         "segment_gap": named.endpoint_gap_2,
-        "rigidity_detected": self_report.rigidity_detected,
+        "rigidity_detected": curve_oracle.bow_check(quarter, quarter).rigidity_detected,
     }
 
 
-def _monotonicity_per_trial(trials: int, seed: int) -> dict:
+def _monotonicity_per_trial(trials: int, seed: int) -> list:
     # oracle: the trial-by-trial engine
     rng = np.random.default_rng([seed, 10])
     n_edges = 157
     h = (math.pi / 2.0) / n_edges
-    min_value = np.inf
-    positives = 0
+    values = []
     for _ in range(trials):
-        profile = curves.random_curvature_profile(rng, n_edges - 1, high=1.9)
-        block = rng.standard_normal((n_edges, 3))
-        (curve,) = curves.random_space_curve((profile * h)[None], [h], [block])
-        t0 = int(rng.integers(0, curve.n_vertices))
-        value = curves.monotonicity_check(curve, t0)
-        min_value = min(min_value, value)
-        positives += value > 0.0
-    return {
-        "success_ratio": positives / trials,
-        "min_value": float(min_value),
-    }
+        profile = curve_oracle.random_curvature_profile(rng, n_edges - 1, high=1.9)
+        rows = rng.standard_normal((n_edges, 3))
+        (v,) = curves.random_space_curve((profile * h)[None], np.array([h]), rows[None])
+        t0 = int(rng.integers(0, len(v)))
+        values.append(curve_oracle.monotonicity_check(curves.DiscreteCurve(v, h), t0))
+    return values
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_curve_engines_match_per_trial_loops(seed):
+    # at perfbench/bench.ini's sizes, trial by trial and bit for bit
     dims = []
-    assert check_bow(trials=20, n_edges=40, seed=seed) == _bow_per_trial(20, 40, seed, dims)
+    oracle = _bow_per_trial(200, 120, seed, dims)
     assert set(dims) == {2, 3, 5}
-    assert check_monotonicity(trials=15, seed=seed) == _monotonicity_per_trial(15, seed)
+    stacked = _bow_trials(200, 120, seed)
+    assert stacked.endpoint_gap_1.tolist() == [r.endpoint_gap_1 for r in oracle]
+    assert stacked.endpoint_gap_2.tolist() == [r.endpoint_gap_2 for r in oracle]
+    assert stacked.inequality_holds.tolist() == [r.inequality_holds for r in oracle]
+    ratio = sum(r.inequality_holds for r in oracle) / 200
+    assert check_bow(200, 120, seed) == {"success_ratio": ratio, **_named_bow_per_trial()}
+    assert _monotonicity_values(200, seed).tolist() == _monotonicity_per_trial(200, seed)
 
 
 def _sectional_per_sample(samples: int, seed: int) -> dict:
@@ -532,6 +534,29 @@ def test_fary_keeps_to_the_calling_thread():
     # the loop samples, (n, 3) @ (3, D) products with n up to 40,000, and the
     # one ball per polygon, on its 256-vertex probe, wake no BLAS worker
     assert other_threads_cpu_ms(lambda: check_fary(20, 1e-3, 0)) == 0.0
+
+
+@needs_schedstat
+@pytest.mark.parametrize("engine, args", [(check_bow, (200, 120, 0)), (check_monotonicity, (200, 0))])
+def test_stacked_curve_engines_keep_to_the_calling_thread(engine, args):
+    # the stacked SVD over C8's (200, 121, 2) arcs and the batched
+    # (T, 1, D) @ (T, D, 1) matmuls run one small LAPACK or BLAS call a trial
+    assert other_threads_cpu_ms(lambda: engine(*args)) == 0.0
+
+
+@pytest.mark.parametrize("engine, args, mib", [(check_bow, (200, 120, 0), 5.2), (check_monotonicity, (200, 0), 4.2)])
+def test_stacked_curve_engines_allocate_no_more_than_per_trial_loops(engine, args, mib):
+    # the ceilings are the traced peaks of the per-trial engines the stacks
+    # replaced (5.19 and 4.20 MiB): a stacked engine that peaks above them
+    # shows in the benchmark's peak RSS
+    engine(*args)
+    tracemalloc.start()
+    try:
+        engine(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 @needs_schedstat

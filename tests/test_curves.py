@@ -5,23 +5,27 @@ import math
 import numpy as np
 import pytest
 
+import curve_oracle
 from circle_oracle import closed_form_circle, orthonormal_pair
+from curve_oracle import random_curvature_profile
 from normcurve import curves, veronese
 from normcurve.curves import (
     _QR_BLOCK,
     _centered_factor,
     _row_norms,
+    BowReport,
     DiscreteCurve,
     InvalidComparison,
     bow_check,
+    curvature_profiles,
     discrete_curvature,
+    draw_profile,
     fary_check,
     fit_circle,
     monotonicity_check,
     planarity_residual,
     random_closed_curve,
     random_convex_arc,
-    random_curvature_profile,
     random_space_curve,
     sample_circle_arc,
     straight_segment,
@@ -47,6 +51,12 @@ def test_discrete_curve_validation():
             DiscreteCurve(vertices, circle.nominal_step, closed=True, edge_tol=circle.edge_tol)
     with pytest.raises(ValueError, match="at least 3"):
         DiscreteCurve(np.array([[0.0, 0.0], [1.0, 0.0]]), nominal_step=1.0, closed=True)
+    # a NaN edge_tol compares false with every deviation, a negative one
+    # rejects every curve: both are refused, as is an infinite one
+    for tol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match=r"^edge_tol = .* must be positive and finite$"):
+            DiscreteCurve([[0.0, 0.0], [5.0, 0.0], [5.0, 7.0]], 1.0, edge_tol=tol)
+    assert DiscreteCurve([[0.0, 0.0], [5.0, 0.0]], 5.0, edge_tol=1e-300).n_vertices == 2
 
 
 def test_circle_curvature_arc_sampling():
@@ -107,6 +117,12 @@ def test_geodesic_samples_have_curvature_two():
 # -- bow comparison -----------------------------------------------------------
 
 
+def _bow(c1, c2):
+    """``bow_check`` on a stack of one pair, its report read back as scalars."""
+    report = bow_check(c1.vertices[None], c2.vertices[None], [c1.nominal_step])
+    return BowReport(*(field[0] for field in vars(report).values()))
+
+
 def _named_pair(n=300):
     h = (math.pi / 2.0) / n
     return sample_circle_arc(0.5, math.pi / 2.0, h), straight_segment(math.pi / 2.0, h)
@@ -114,7 +130,7 @@ def _named_pair(n=300):
 
 def test_bow_half_circle_vs_segment():
     half, seg = _named_pair()
-    rep = bow_check(half, seg)
+    rep = _bow(half, seg)
     assert rep.endpoint_gap_1 == pytest.approx(1.0, abs=1e-9)
     assert rep.endpoint_gap_2 == pytest.approx(math.pi / 2.0, abs=1e-9)
     assert rep.inequality_holds
@@ -124,7 +140,7 @@ def test_bow_half_circle_vs_segment():
 def test_bow_identical_curves_rigidity():
     h = (math.pi / 2.0) / 300
     q = sample_circle_arc(1.0, math.pi / 2.0, h)
-    rep = bow_check(q, q)
+    rep = _bow(q, q)
     assert rep.inequality_holds
     assert rep.rigidity_detected
     assert rep.alignment_residual <= 1e-12
@@ -138,53 +154,84 @@ def test_bow_congruent_space_copy_rigidity():
     rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     lifted = np.column_stack([q.vertices, np.zeros(len(q.vertices))])[:, :3] @ rot.T
     q3 = DiscreteCurve(lifted + rng.standard_normal(3), nominal_step=h, edge_tol=q.edge_tol)
-    rep = bow_check(q, q3)
+    rep = _bow(q, q3)
     assert rep.inequality_holds
     assert rep.rigidity_detected
 
 
 def _space_curve(rng, turning, step, dim=3):
-    """One trial of ``random_space_curve``, drawing its block from ``rng``."""
-    block = rng.standard_normal((len(turning) + 1, dim))
-    return random_space_curve(np.asarray(turning)[None], [step], [block])[0]
+    """One trial of ``random_space_curve``, drawing its rows from ``rng``."""
+    rows = rng.standard_normal((1, len(turning) + 1, dim))
+    return DiscreteCurve(random_space_curve(np.asarray(turning)[None], np.array([step]), rows)[0], step)
+
+
+def _wiggle(n, h):
+    """An open planar curve of n edges whose turning flips sign halfway."""
+    theta = np.concatenate([np.full(n // 2, 0.5 * h), np.full(n - 1 - n // 2, -0.5 * h)])
+    phi = np.concatenate([[0.0], np.cumsum(theta)])
+    return np.vstack([[0.0, 0.0], np.cumsum(h * np.column_stack([np.cos(phi), np.sin(phi)]), axis=0)])
 
 
 def test_bow_preconditions_raise_invalid_comparison():
     half, seg = _named_pair()
     # more curved comparison curve: roles swapped
     with pytest.raises(InvalidComparison, match="exceeds"):
-        bow_check(seg, half)
+        _bow(seg, half)
     # non-planar reference
     rng = np.random.default_rng(73)
     h = half.nominal_step
     twists = _space_curve(rng, np.full(299, 0.5 * h), h)
     if planarity_residual(twists.vertices) > 1e-8:
         with pytest.raises(InvalidComparison, match="planar"):
-            bow_check(twists, seg)
+            _bow(twists, seg)
     # non-convex reference: sine-like flip of turning signs
-    n = 300
-    theta = np.concatenate([np.full(n // 2, 0.5 * h), np.full(n // 2 - 1, -0.5 * h)])
-    phi = np.concatenate([[0.0], np.cumsum(theta)])
-    pts = np.vstack([[0.0, 0.0], np.cumsum(
-        h * np.column_stack([np.cos(phi), np.sin(phi)]), axis=0)])
-    wiggle = DiscreteCurve(pts, nominal_step=h)
+    wiggle = DiscreteCurve(_wiggle(300, h), nominal_step=h)
     with pytest.raises(InvalidComparison, match="convex"):
-        bow_check(wiggle, seg)
+        _bow(wiggle, seg)
     # mismatched sampling
     with pytest.raises(InvalidComparison, match="vertices"):
-        bow_check(half, straight_segment(math.pi / 2.0, h / 2.0))
+        _bow(half, straight_segment(math.pi / 2.0, h / 2.0))
+
+
+def _profiles(rng, trials, n, high):
+    return curvature_profiles(np.array([draw_profile(rng) for _ in range(trials)]), n, high)
 
 
 def test_bow_randomized_trials_never_violate():
     rng = np.random.default_rng(74)
-    for _ in range(200):
-        step = float(rng.uniform(0.005, 0.02))
-        kappa_max = float(rng.uniform(0.5, 2.5))
-        c1 = random_convex_arc(rng, 120, step, kappa_max)
-        factor = random_curvature_profile(rng, 119, high=1.0)
-        c2 = _space_curve(rng, factor * turning_angles(c1), step, int(rng.choice([2, 3, 5])))
-        rep = bow_check(c1, c2)
-        assert rep.inequality_holds
+    steps = rng.uniform(0.005, 0.02, 200)
+    arcs = random_convex_arc(_profiles(rng, 200, 119, rng.uniform(0.5, 2.5, 200)), steps)
+    turning = _profiles(rng, 200, 119, 1.0) * turning_angles(arcs)
+    for dim in (2, 3, 5):
+        rows = rng.standard_normal((200, 120, dim))
+        rep = bow_check(arcs, random_space_curve(turning, steps, rows), steps)
+        assert rep.inequality_holds.all()
+
+
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_bow_raises_naming_the_first_failing_trial(k):
+    # six valid trials (quarter circles of curvature 1 against segments);
+    # then trial k alone breaks convexity, or the curvature bound
+    n = 120
+    h = (math.pi / 2.0) / n
+    reference = np.stack([sample_circle_arc(1.0, math.pi / 2.0, h).vertices] * 6)
+    comparison = np.stack([straight_segment(math.pi / 2.0, h).vertices] * 6)
+    steps = np.full(6, h)
+    assert bow_check(reference, comparison, steps).inequality_holds.all()
+    wiggled = reference.copy()
+    wiggled[k] = _wiggle(n, h)
+    with pytest.raises(InvalidComparison, match=rf"^trial {k}: reference curve is not convex"):
+        bow_check(wiggled, comparison, steps)
+    bent = comparison.copy()
+    bent[k] = sample_circle_arc(0.5, math.pi / 2.0, h).vertices
+    with pytest.raises(InvalidComparison, match=rf"^trial {k}: comparison curve exceeds"):
+        bow_check(reference, bent, steps)
+    # with both, the first failing trial is named, with its own failure
+    bent[5] = comparison[5]
+    reference[5] = _wiggle(n, h)
+    first = "not convex" if k == 5 else "comparison curve exceeds"
+    with pytest.raises(InvalidComparison, match=rf"^trial {k}: .*{first}"):
+        bow_check(reference, bent, steps)
 
 
 # -- reflection surgery --------------------------------------------------------
@@ -238,7 +285,7 @@ def test_reflect_tangency_contradiction_gap_above_one():
     arc = DiscreteCurve(pts, nominal_step=h, edge_tol=1e-6)
     hat = _reflect_concat(arc, n // 2, np.array([0.0, 1.0]))
     half = sample_circle_arc(0.5, length, h)
-    rep = bow_check(half, hat)
+    rep = _bow(half, hat)
     assert rep.inequality_holds
     assert rep.endpoint_gap_2 > 1.0
 
@@ -246,16 +293,22 @@ def test_reflect_tangency_contradiction_gap_above_one():
 # -- monotonicity ---------------------------------------------------------------
 
 
+def _monotonicity(curve, *t0):
+    """``monotonicity_check`` on a stack of copies of one curve, one per start."""
+    stack = np.broadcast_to(curve.vertices, (len(t0), *curve.vertices.shape))
+    return monotonicity_check(stack, np.full(len(t0), curve.nominal_step), np.array(t0))
+
+
 def test_monotonicity_straight_segment():
     seg = straight_segment(math.pi / 2.0, 1e-3)
-    for idx in (0, 700, seg.n_vertices - 1):
-        assert monotonicity_check(seg, idx) == pytest.approx(math.pi / 2.0, abs=1e-12)
+    values = _monotonicity(seg, 0, 700, seg.n_vertices - 1)
+    assert values == pytest.approx(np.full(3, math.pi / 2.0), abs=1e-12)
 
 
 def test_monotonicity_circle_arc_against_closed_form():
     c = sample_circle_arc(0.6, math.pi / 2.0, 1e-3)
     mid = c.n_vertices // 2
-    value = monotonicity_check(c, mid)
+    (value,) = _monotonicity(c, mid)
     analytic = 1.2 * math.sin(math.pi / 2.4)
     assert value == pytest.approx(analytic, abs=1e-5)
     assert value > 0.0
@@ -264,20 +317,38 @@ def test_monotonicity_circle_arc_against_closed_form():
 def test_monotonicity_curvature_precondition():
     c = sample_circle_arc(0.45, math.pi / 2.0, 1e-3)  # curvature 2.22 > 2
     with pytest.raises(InvalidComparison, match="curvature"):
-        monotonicity_check(c, 10)
+        _monotonicity(c, 10)
     with pytest.raises(InvalidComparison, match="length"):
-        monotonicity_check(straight_segment(1.0, 1e-3), 5)
+        _monotonicity(straight_segment(1.0, 1e-3), 5)
+
+
+def test_monotonicity_rejects_bad_start_indices():
+    seg = straight_segment(math.pi / 2.0, 1e-2)  # 158 vertices
+    stack = np.stack([seg.vertices] * 3)
+    steps = np.full(3, seg.nominal_step)
+    starts = np.array([0, 80, 157])
+    expected = monotonicity_check(stack, steps, starts)
+    assert np.array_equal(monotonicity_check(stack, steps, starts.astype(np.uint8)), expected)
+    for t0, message in (
+        ([0, 1.5, 2], r"^t0\[1\] = 1\.5: expected an integer vertex index$"),
+        ([0.0, 1.0, 2.0], r"^t0\[0\] = 0\.0: expected an integer vertex index$"),
+        ([False, True, True], r"^t0\[0\] = False: expected an integer vertex index$"),
+        ([0, 5, 158], r"^t0\[2\] = 158 is out of range \[0, 158\)$"),
+        ([0, -1, 3], r"^t0\[1\] = -1 is out of range \[0, 158\)$"),
+        ([0, 1], r"^need one step and one t0 a trial for 3 trials$"),
+    ):
+        with pytest.raises(ValueError, match=message) as err:
+            monotonicity_check(stack, steps, np.array(t0))
+        assert not isinstance(err.value, InvalidComparison)
 
 
 def test_monotonicity_random_positive():
     rng = np.random.default_rng(75)
     n = 157
     h = (math.pi / 2.0) / n
-    for _ in range(200):
-        profile = random_curvature_profile(rng, n - 1, high=1.9)
-        c = _space_curve(rng, profile * h, h)
-        t0 = int(rng.integers(0, c.n_vertices))
-        assert monotonicity_check(c, t0) > 0.0
+    steps = np.full(200, h)
+    curve = random_space_curve(_profiles(rng, 200, n - 1, 1.9) * h, steps, rng.standard_normal((200, n, 3)))
+    assert (monotonicity_check(curve, steps, rng.integers(0, n + 1, 200)) > 0.0).all()
 
 
 # -- averaged curvature bound ----------------------------------------------------
@@ -519,11 +590,11 @@ def test_space_curve_matches_per_vertex_oracle(dim):
     turning = h * np.array(
         [random_curvature_profile(np.random.default_rng(100 + s), 156, high=1.9) for s in seeds]
     )
-    blocks = [np.random.default_rng(s).standard_normal((157, dim)) for s in seeds]
+    blocks = np.stack([np.random.default_rng(s).standard_normal((157, dim)) for s in seeds])
     fast = random_space_curve(turning, np.full(10, h), blocks)
-    for curve, t, block in zip(fast, turning, blocks):
-        assert curve.nominal_step == h
-        assert np.max(np.abs(curve.vertices - _reference_space_curve(block, t, h))) <= 1e-14
+    assert fast.shape == (10, 158, dim)
+    for vertices, t, block in zip(fast, turning, blocks):
+        assert np.max(np.abs(vertices - _reference_space_curve(block, t, h))) <= 1e-14
 
 
 def test_space_curve_rejects_a_row_along_the_tangent():
@@ -532,9 +603,22 @@ def test_space_curve_rejects_a_row_along_the_tangent():
     blocks[1, 0] = [1.0, 0.0, 0.0]
     blocks[1, 1] = [3.0, 0.0, 0.0]
     with pytest.raises(RuntimeError, match="^degenerate normal draw$"):
-        random_space_curve(np.full((3, 5), 0.1), np.full(3, 0.01), list(blocks))
-    kept = random_space_curve(np.full((2, 5), 0.1), np.full(2, 0.01), list(blocks[::2]))
-    assert [curve.n_vertices for curve in kept] == [7, 7]
+        random_space_curve(np.full((3, 5), 0.1), np.full(3, 0.01), blocks)
+    kept = random_space_curve(np.full((2, 5), 0.1), np.full(2, 0.01), blocks[::2])
+    assert kept.shape == (2, 7, 3)
+
+
+def test_stacked_generators_check_every_edge():
+    # one edge-length check per stack: a NaN turning angle in one trial ends
+    # in a ValueError, not in a stack of NaN vertices
+    message = r"^edge lengths deviate from nominal_step by nan \(tolerance 1\.0e-09\)$"
+    turning = np.full((2, 5), 0.1)
+    turning[1, 2] = math.nan
+    rows = np.random.default_rng(91).standard_normal((2, 6, 3))
+    with pytest.raises(ValueError, match=message):
+        random_space_curve(turning, np.full(2, 0.01), rows)
+    with pytest.raises(ValueError, match=message):
+        random_convex_arc(turning, np.full(2, 0.01))
 
 
 def _loop_coefficients(seed, dim):
@@ -618,9 +702,28 @@ def test_stacked_space_curves_pad_every_dim_exactly():
     turning = np.array([random_curvature_profile(rng, 119, high=1.9) * h for _ in dims])
     steps = rng.uniform(0.005, 0.02, len(dims))
     blocks = [rng.standard_normal((120, d)) for d in dims]
-    stacked = random_space_curve(turning, steps, blocks)
-    assert len(stacked) == len(dims)
-    for curve, t, step, block in zip(stacked, turning, steps, blocks):
-        (single,) = random_space_curve(t[None], [step], [block])
-        assert curve.dim == block.shape[1] and curve.nominal_step == step
-        assert np.array_equal(curve.vertices, single.vertices)
+    rows = np.zeros((len(dims), 120, 5))
+    for target, block in zip(rows, blocks):
+        target[:, : block.shape[1]] = block
+    stacked = random_space_curve(turning, steps, rows)
+    assert stacked.shape == (len(dims), 121, 5)
+    for vertices, t, step, block in zip(stacked, turning, steps, blocks):
+        (single,) = random_space_curve(t[None], np.array([step]), block[None])
+        assert np.array_equal(vertices[:, : block.shape[1]], single)
+        assert not vertices[:, block.shape[1] :].any()
+
+
+def test_stacked_profiles_and_arcs_match_per_trial_oracle():
+    # trial k's profile is drawn from default_rng(k), which the oracle's arc
+    # draws from too; caps up to 5 make the 0.98 pi turning cap bind on some
+    rng = np.random.default_rng(90)
+    steps, caps = rng.uniform(0.005, 0.02, 200), rng.uniform(0.5, 5.0, 200)
+    kappa = curvature_profiles(np.array([draw_profile(np.random.default_rng(k)) for k in range(200)]), 119, caps)
+    arcs = random_convex_arc(kappa, steps)
+    assert arcs.shape == (200, 121, 2)
+    # turning angles of a stack are the per-curve ones, row by row
+    for k, (vertices, turning) in enumerate(zip(arcs, turning_angles(arcs))):
+        arc = curve_oracle.random_convex_arc(np.random.default_rng(k), 120, steps[k], caps[k])
+        assert np.array_equal(vertices, arc.vertices)
+        assert np.array_equal(turning, curve_oracle.turning_angles(arc))
+    assert 20 <= np.count_nonzero(np.sum(kappa, axis=1) * steps > 0.98 * math.pi) <= 180
